@@ -18,7 +18,6 @@ from .words import (
 )
 from .base_groups import (
     AbelianOracle,
-    BallCache,
     BaseGroupOracle,
     FreeOracle,
     abelian_from_presentation,
@@ -67,7 +66,7 @@ from .specfile import load_spec_text, parse_spec_text, serialize_ast, ast_of
 __all__ = [
     "Alphabet", "Generator", "Letter", "Word", "enumerate_words", "format_word",
     "free_reduce", "invert", "parse_word", "shortlex_compare",
-    "AbelianOracle", "BallCache", "BaseGroupOracle", "FreeOracle",
+    "AbelianOracle", "BaseGroupOracle", "FreeOracle",
     "abelian_from_presentation", "base_geodesic_length", "free_oracle",
     "CyclicSubgroup", "StallingsSubgroup", "SubgroupOracle",
     "cyclic_subgroup", "stallings_subgroup",

@@ -17,23 +17,10 @@ their keys are equal.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
-from .limits import DEFAULT_MEM_CAP
+from .cayley import BallIndex, locate
 from .words import Alphabet, Word, reduce_ids
-
-
-class RadiusCapError(RuntimeError):
-    """An element fell outside the largest ball the cache is allowed to build."""
-
-    def __init__(self, cap_elements: int, radius_reached: int):
-        super().__init__(
-            f"element not found within radius {radius_reached} "
-            f"(cache cap {cap_elements} elements)"
-        )
-        self.cap_elements = cap_elements
-        self.radius_reached = radius_reached
 
 
 class BaseGroupOracle:
@@ -263,71 +250,17 @@ def free_oracle(generators: Sequence[str]) -> FreeOracle:
     return FreeOracle(Alphabet.make(list(generators)))
 
 
-class BallCache:
-    """Distance-only BFS ball over a base oracle, grown by radius doubling.
+def base_geodesic_length(oracle: BaseGroupOracle, w: Word,
+                         ball: Optional[BallIndex] = None) -> int:
+    """Word-metric length of the element of w in the base Cayley graph.
 
-    Readers see a consistent (keys, radius) snapshot; extension replaces the
-    snapshot wholesale, so concurrent readers observe either the old or the
-    new ball, never a partial one.
+    Oracles without an exact length read it off the ball over this oracle,
+    which is extended as far as the element needs.
     """
-
-    def __init__(self, oracle: BaseGroupOracle, cap_elements: int = DEFAULT_MEM_CAP,
-                 initial_radius: int = 2):
-        self.oracle = oracle
-        self.cap_elements = cap_elements
-        self._snapshot = self._build(initial_radius)
-
-    def _build(self, radius: int) -> tuple[dict, int]:
-        oracle = self.oracle
-        dist = {oracle.identity_key(): 0}
-        frontier = deque([oracle.identity_key()])
-        n = oracle.alphabet.n_letters
-        for d in range(radius):
-            nxt = deque()
-            while frontier:
-                key = frontier.popleft()
-                for lid in range(n):
-                    k2 = oracle.apply_letter(key, lid)
-                    if k2 not in dist:
-                        if len(dist) >= self.cap_elements:
-                            raise RadiusCapError(self.cap_elements, d)
-                        dist[k2] = d + 1
-                        nxt.append(k2)
-            frontier = nxt
-        return dist, radius
-
-    @property
-    def radius(self) -> int:
-        return self._snapshot[1]
-
-    def distance(self, key) -> int:
-        """Distance from the identity, extending the ball as needed."""
-        dist, radius = self._snapshot
-        d = dist.get(key)
-        if d is not None:
-            return d
-        while True:
-            new_radius = radius * 2
-            try:
-                snapshot = self._build(new_radius)
-            except RadiusCapError:
-                raise RadiusCapError(self.cap_elements, radius) from None
-            saturated = len(snapshot[0]) == len(dist)
-            self._snapshot = snapshot
-            dist, radius = snapshot
-            d = dist.get(key)
-            if d is not None:
-                return d
-            if saturated:
-                raise ValueError(f"key {key!r} is not an element of this group")
-
-
-def base_geodesic_length(oracle: BaseGroupOracle, w: Word, cache: Optional[BallCache] = None) -> int:
-    """Word-metric length of the element of w in the base Cayley graph."""
     key = oracle.evaluate(w)
     exact = oracle.geodesic_length_exact(key)
     if exact is not None:
         return exact
-    if cache is None:
-        raise ValueError("this oracle needs a BallCache for geodesic lengths")
-    return cache.distance(key)
+    if ball is None:
+        raise ValueError("this oracle needs a ball for geodesic lengths")
+    return ball.dist[locate(ball, key)]

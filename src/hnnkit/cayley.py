@@ -10,6 +10,13 @@ predecessor links makes geodesic enumeration a walk, not a search.
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
 exports derived from one.
+
+A ball is resumable: extend_ball grows it sphere by sphere from the last
+one, and ids are prefix-stable, so extending a radius-r0 ball to radius r
+gives exactly the radius-r build.  This module is the only place balls are
+grown and the only place the element cap is resolved (an explicit mem_cap,
+else the HNNKIT_MEM_CAP environment variable, else DEFAULT_MEM_CAP); the
+ball keeps its cap, so every later extension obeys it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import io
 import json
 from typing import Iterator, Optional
 
-from .limits import DEFAULT_MEM_CAP
+from .limits import default_mem_cap
 from .words import Word
 
 
@@ -43,15 +50,19 @@ class OutOfBallError(RuntimeError):
 
 
 class BallIndex:
-    def __init__(self, oracle, radius: int):
+    """The radius-0 ball: just the identity.  Grow it with extend_ball."""
+
+    def __init__(self, oracle, mem_cap: Optional[int] = None):
         self.oracle = oracle
-        self.radius = radius
-        self.keys: list = []
-        self.ids: dict = {}
-        self.dist: list[int] = []
-        self.trans: list[Optional[list[int]]] = []
-        self.preds: list[list[tuple[int, int]]] = []
-        self.sphere_sizes: list[int] = []
+        self.radius = 0
+        self.mem_cap = default_mem_cap() if mem_cap is None else mem_cap
+        ident = oracle.identity_key()
+        self.keys: list = [ident]
+        self.ids: dict = {ident: 0}
+        self.dist: list[int] = [0]
+        self.trans: list[Optional[list[int]]] = [None]
+        self.preds: list[list[tuple[int, int]]] = [[]]
+        self.sphere_sizes: list[int] = [1]
         self._slex: Optional[list[tuple[int, ...]]] = None
         self._counts: Optional[list[int]] = None
 
@@ -112,57 +123,86 @@ class BallIndex:
         return format_word(self.shortlex_geodesic(eid))
 
 
-def build_ball(oracle, radius: int, mem_cap: int = DEFAULT_MEM_CAP,
+def build_ball(oracle, radius: int, mem_cap: Optional[int] = None,
                progress=None) -> BallIndex:
     """Frontier-by-frontier BFS from the identity, deduplicated by canonical key."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    ball = BallIndex(oracle, radius)
-    ident = oracle.identity_key()
-    ball.keys.append(ident)
-    ball.ids[ident] = 0
-    ball.dist.append(0)
-    ball.trans.append(None)
-    ball.preds.append([])
-    n_letters = oracle.alphabet.n_letters
-    apply_letter = oracle.apply_letter
+    ball = BallIndex(oracle, mem_cap)
+    extend_ball(ball, radius, progress)
+    return ball
+
+
+def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
+    """Grow the ball to the given radius, resuming the BFS from its last sphere.
+
+    On BallCapError the partial sphere is dropped, so the ball stays the
+    complete ball of the radius it had reached.
+    """
+    if radius <= ball.radius:
+        return
+    ball._slex = ball._counts = None
+    n_letters = ball.oracle.alphabet.n_letters
+    apply_letter = ball.oracle.apply_letter
+    mem_cap = ball.mem_cap
     ids = ball.ids
     keys = ball.keys
     dist = ball.dist
     preds = ball.preds
-    frontier = [0]
-    ball.sphere_sizes.append(1)
-    for d in range(radius):
+    # BFS ids are contiguous per sphere: the frontier is the last sphere
+    frontier = range(len(keys) - ball.sphere_sizes[-1], len(keys))
+    for d in range(ball.radius, radius):
         nxt: list[int] = []
-        for eid in frontier:
-            key = keys[eid]
-            row = [0] * n_letters
-            for lid in range(n_letters):
-                k2 = apply_letter(key, lid)
-                tid = ids.get(k2)
-                if tid is None:
-                    if len(keys) >= mem_cap:
-                        raise BallCapError(mem_cap, d)
-                    tid = len(keys)
-                    ids[k2] = tid
-                    keys.append(k2)
-                    dist.append(d + 1)
-                    ball.trans.append(None)
-                    preds.append([(eid, lid)])
-                    nxt.append(tid)
-                elif dist[tid] == d + 1:
-                    preds[tid].append((eid, lid))
-                row[lid] = tid
-            ball.trans[eid] = row
+        n_before = len(keys)
+        try:
+            for eid in frontier:
+                key = keys[eid]
+                row = [0] * n_letters
+                for lid in range(n_letters):
+                    k2 = apply_letter(key, lid)
+                    tid = ids.get(k2)
+                    if tid is None:
+                        if len(keys) >= mem_cap:
+                            raise BallCapError(mem_cap, d)
+                        tid = len(keys)
+                        ids[k2] = tid
+                        keys.append(k2)
+                        dist.append(d + 1)
+                        ball.trans.append(None)
+                        preds.append([(eid, lid)])
+                        nxt.append(tid)
+                    elif dist[tid] == d + 1:
+                        preds[tid].append((eid, lid))
+                    row[lid] = tid
+                ball.trans[eid] = row
+        except BallCapError:
+            for key in keys[n_before:]:
+                del ids[key]
+            for lst in (keys, dist, ball.trans, preds):
+                del lst[n_before:]
+            for eid in frontier:
+                ball.trans[eid] = None
+            raise
         frontier = nxt
         ball.sphere_sizes.append(len(nxt))
+        ball.radius = d + 1
         if progress is not None:
             progress(d + 1, len(keys))
         if not nxt:
             break
     while len(ball.sphere_sizes) < radius + 1:
         ball.sphere_sizes.append(0)
-    return ball
+    ball.radius = radius
+
+
+def locate(ball: BallIndex, key) -> int:
+    """Id of the key, extending the ball one sphere at a time until it is in."""
+    ids = ball.ids
+    while key not in ids:
+        if ball.sphere_sizes[-1] == 0:
+            raise ValueError(f"key {key!r} is not an element of this group")
+        extend_ball(ball, ball.radius + 1)
+    return ids[key]
 
 
 def distance(ball: BallIndex, x_key, y_key) -> int:

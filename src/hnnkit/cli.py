@@ -15,11 +15,9 @@ import sys
 import time
 
 from . import __version__
-from .base_groups import RadiusCapError
-from .cayley import BallCapError, OutOfBallError, build_ball, export_ball
-from .convexity import ac_profile, fftp_search, verify_parallel_signatures
+from .cayley import BallCapError, OutOfBallError, build_ball, export_ball, locate
+from .convexity import ac_profile, fftp_radius, fftp_search, verify_parallel_signatures
 from .hnn import HnnSpec, normal_form, stable_letter_signature, verify_isometric
-from .limits import default_mem_cap
 from .presets import UnknownPresetError, preset
 from .specfile import SpecFileError, load_spec_text
 from .words import WordParseError, format_word, parse_word
@@ -124,10 +122,6 @@ def _report_bytes(fmt: str, header: list[str], json_payload: dict, table_lines: 
     return text.encode()
 
 
-def _mem_cap(args) -> int:
-    return args.mem_cap if getattr(args, "mem_cap", None) else default_mem_cap()
-
-
 def _progress(label):
     def cb(radius, count):
         print(f"{label}: radius {radius}, {count} elements", file=sys.stderr)
@@ -140,11 +134,12 @@ def cmd_normalize(args) -> int:
     word = parse_word(group.alphabet, args.word)
     if isinstance(group, HnnSpec):
         nf = normal_form(group, word)
+        base_ball = build_ball(group.base, 0)
         parts = []
         for pos, part in enumerate(nf.key):
             if pos % 2 == 0:
                 if not group.base.is_identity(part):
-                    parts.append(_geodesic_base_word(group, part))
+                    parts.append(_geodesic_base_word(base_ball, part))
             else:
                 i, eps = part
                 name = group.alphabet.stable_generators[i].name
@@ -160,23 +155,17 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def _geodesic_base_word(spec: HnnSpec, base_key) -> str:
-    """Shortlex geodesic spelling of a base element, via a small base ball."""
-    base = spec.base
-    exact = base.geodesic_length_exact(base_key)
-    if exact is not None:
+def _geodesic_base_word(base_ball, base_key) -> str:
+    """Shortlex geodesic spelling of a base element, grown into the base ball."""
+    base = base_ball.oracle
+    if base.geodesic_length_exact(base_key) is not None:
         return format_word(base.word_of_key(base_key))
-    radius = 2
-    while True:
-        ball = build_ball(base, radius)
-        if base_key in ball.ids:
-            return ball.label(ball.ids[base_key])
-        radius *= 2
+    return base_ball.label(locate(base_ball, base_key))
 
 
 def cmd_ball(args) -> int:
     group, label = _load_group(args)
-    ball = build_ball(group, args.N, mem_cap=_mem_cap(args), progress=_progress("ball"))
+    ball = build_ball(group, args.N, mem_cap=args.mem_cap, progress=_progress("ball"))
     header = _header("ball", label, {"N": args.N, "format": args.format})
     if args.format == "table":
         lines = [f"radius {args.N}: {len(ball)} elements",
@@ -195,7 +184,7 @@ def cmd_ball(args) -> int:
 
 def cmd_ac(args) -> int:
     group, label = _load_group(args)
-    ball = build_ball(group, args.N + 1, mem_cap=_mem_cap(args), progress=_progress("ball"))
+    ball = build_ball(group, args.N + 1, mem_cap=args.mem_cap, progress=_progress("ball"))
     report = ac_profile(ball, args.N)
     header = _header("ac", label, {"N": args.N})
     payload = report.to_dict()
@@ -237,7 +226,7 @@ def _parse_mode(text: str):
 def cmd_fftp(args) -> int:
     group, label = _load_group(args)
     mode, count, seed = _parse_mode(args.mode)
-    ball = build_ball(group, args.max_len, mem_cap=_mem_cap(args),
+    ball = build_ball(group, fftp_radius(args.max_len, args.k_cap), mem_cap=args.mem_cap,
                       progress=_progress("ball"))
     report = fftp_search(
         ball,
@@ -268,7 +257,7 @@ def cmd_verify_isometric(args) -> int:
     if not isinstance(group, HnnSpec):
         print("verify-isometric needs an HNN extension, not a base group", file=sys.stderr)
         return 2
-    report = verify_isometric(group, args.max_len)
+    report = verify_isometric(group, args.max_len, mem_cap=args.mem_cap)
     header = _header("verify-isometric", label, {"max_len": args.max_len})
     payload = {
         "passed": report.passed,
@@ -296,7 +285,7 @@ def cmd_signatures(args) -> int:
     if not isinstance(group, HnnSpec):
         print("signatures needs an HNN extension, not a base group", file=sys.stderr)
         return 2
-    ball = build_ball(group, args.N, mem_cap=_mem_cap(args), progress=_progress("ball"))
+    ball = build_ball(group, args.N, mem_cap=args.mem_cap, progress=_progress("ball"))
     report = verify_parallel_signatures(ball, group)
     header = _header("signatures", label, {"N": args.N})
     _emit(args, _report_bytes(args.format, header, report.to_dict(), report.table_lines()))
@@ -318,7 +307,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         rc = _COMMANDS[args.command](args)
-    except (BallCapError, RadiusCapError) as exc:
+    except BallCapError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
     except OutOfBallError as exc:

@@ -219,8 +219,10 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
             v = g
             for lid in path:
                 v = trans[v][lid]
-                assert dist[v] <= n
-            assert v == h
+                if dist[v] > n:
+                    raise AssertionError("witness path leaves the ball")
+            if v != h:
+                raise AssertionError("witness path misses its endpoint")
             if len(path) > c_n:
                 c_n = len(path)
                 best = (g, h, info["gamma"], path)
@@ -301,32 +303,41 @@ class FftpReport:
         return out
 
 
+def fftp_radius(max_len: int, k_cap: int) -> int:
+    """Radius of the one ball fftp_search reads.
+
+    Words need radius max_len and the relative DP needs k_cap + 2; BFS ids
+    are prefix-stable, so the larger ball serves both.
+    """
+    return max(max_len, k_cap + 2)
+
+
 class _FftpContext:
     """Shared tables for the relative-coordinate DP (fork-shared by workers)."""
 
     def __init__(self, ball: BallIndex, max_len: int, k_cap: int,
                  initial_cap: int, reduced_only: bool):
         oracle = ball.oracle
-        if ball.radius < max_len:
-            raise OutOfBallError(max_len, ball.radius)
         self.max_len = max_len
         self.k_cap = k_cap
         self.initial_cap = min(initial_cap, k_cap)
         self.reduced_only = reduced_only
         self.n_letters = oracle.alphabet.n_letters
-        self.abs_trans = ball.trans
-        self.abs_dist = ball.dist
-        rel_radius = max(max_len, k_cap + 2)
-        rel = build_ball(oracle, rel_radius)
-        self.rel = rel
-        self.rel_trans = rel.trans
-        self.rel_dist = rel.dist
+        radius = fftp_radius(max_len, k_cap)
+        if ball.radius < radius:
+            ball = build_ball(oracle, radius, mem_cap=ball.mem_cap)
+        self.rel = ball
+        self.rel_trans = ball.trans
+        self.rel_dist = ball.dist
+        # the DP reads left translates only within that radius, however big
+        # the caller's ball is; ids are contiguous per sphere
+        inner = ball.keys[:sum(ball.sphere_sizes[:radius + 1])]
         self.lefts = []
         for lid in range(self.n_letters):
-            col = [0] * len(rel.keys)
-            for rid, key in enumerate(rel.keys):
+            col = [0] * len(inner)
+            for rid, key in enumerate(inner):
                 k2 = oracle.apply_letter_left(lid, key)
-                col[rid] = rel.ids.get(k2, -1)
+                col[rid] = ball.ids.get(k2, -1)
             self.lefts.append(col)
 
     def extend_dp(self, dp: dict, x: int, cap: int) -> dict:
@@ -458,21 +469,20 @@ def _dfs_subtree(ctx: _FftpContext, first: int) -> dict:
     partial = _new_partial()
     n_letters = ctx.n_letters
     max_len = ctx.max_len
-    abs_trans = ctx.abs_trans
-    abs_dist = ctx.abs_dist
     rel_trans = ctx.rel_trans
+    rel_dist = ctx.rel_dist
 
     def visit(ids: tuple[int, ...], abs_id: int, chain: list[int], dstack: list[dict]):
         n = len(ids)
         partial["total"] += 1
-        if abs_dist[abs_id] == n:
+        if rel_dist[abs_id] == n:
             partial["geodesic"] += 1
         else:
             _score_word(ctx, ids, chain, dstack, partial)
         if n == max_len:
             return
         dstack.append(ctx.extend_dp(dstack[-1], ids[-1], ctx.initial_cap))
-        row = abs_trans[abs_id]
+        row = rel_trans[abs_id]
         last = ids[-1]
         for lid in range(n_letters):
             if ctx.reduced_only and lid == last ^ 1:
@@ -482,7 +492,7 @@ def _dfs_subtree(ctx: _FftpContext, first: int) -> dict:
             visit(ids + (lid,), row[lid], chain2, dstack)
         dstack.pop()
 
-    abs_id = ctx.abs_trans[0][first]
+    abs_id = rel_trans[0][first]
     visit((first,), abs_id, [rel_trans[0][first], 0], [{0: 0}])
     return partial
 
@@ -542,8 +552,8 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
             merged["total"] += 1
             abs_id = 0
             for lid in ids_t:
-                abs_id = ctx.abs_trans[abs_id][lid]
-            if ctx.abs_dist[abs_id] == len(ids_t):
+                abs_id = ctx.rel_trans[abs_id][lid]
+            if ctx.rel_dist[abs_id] == len(ids_t):
                 merged["geodesic"] += 1
                 continue
             chain = ctx._chain(ids_t)
@@ -564,13 +574,18 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
     for m in sorted(merged["witness"]):
         w_ids = merged["witness"][m]
         got, v_ids = ctx.companion(w_ids, k_cap)
-        assert got == m, f"witness re-derivation mismatch: {got} != {m}"
+        if got != m:
+            raise AssertionError(f"witness re-derivation mismatch: {got} != {m}")
         w_word = Word(alphabet, w_ids)
         v_word = Word(alphabet, v_ids)
         # independent re-verification of the recorded pair
-        assert len(v_word) < len(w_word)
-        assert ball.oracle.evaluate(v_word) == ball.oracle.evaluate(w_word)
-        assert fellow_distance(ctx.rel, w_word, v_word) == m
+        if not (len(v_word) < len(w_word)
+                and ball.oracle.evaluate(v_word) == ball.oracle.evaluate(w_word)
+                and fellow_distance(ctx.rel, w_word, v_word) == m):
+            raise AssertionError(
+                f"witness {format_word(w_word)!r} ~ {format_word(v_word)!r} "
+                f"fails re-verification at fellow distance {m}"
+            )
         witnesses.append(
             {
                 "word": format_word(w_word),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .base_groups import AbelianOracle, BallCache, BaseGroupOracle, RadiusCapError, base_geodesic_length
+from .base_groups import AbelianOracle, BaseGroupOracle, base_geodesic_length
 from .subgroups import CyclicSubgroup, SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
 
@@ -303,10 +303,6 @@ def stable_letter_signature(nf: NormalForm) -> tuple[tuple[str, int], ...]:
     return tuple((names[i], eps) for (i, eps) in nf.stable_markers)
 
 
-def signature_of_key(spec: HnnSpec, key) -> tuple:
-    return key[1::2]
-
-
 # -- isometric verification ----------------------------------------------------
 
 
@@ -391,26 +387,21 @@ def _reduced_subgroup_words(m: int, cap: int, weights: list[int]):
 
 
 def verify_isometric(spec: HnnSpec, max_len: int,
-                     cache: Optional[BallCache] = None,
                      mem_cap: Optional[int] = None) -> IsometricReport:
     """Check strip equidistance plus the geodesic and totally geodesic conditions.
 
     The first two conditions are exact.  The totally-geodesic condition is
     verified over every subgroup element within the base ball of radius
     max_len, with every geodesic representative enumerated from the ball's
-    predecessor links.
+    predecessor links.  One base ball serves all three conditions; it grows
+    as the lengths need it, then to max_len.
     """
-    from .cayley import BallCapError, build_ball, geodesics_of
-
-    from .limits import DEFAULT_MEM_CAP
+    from .cayley import BallCapError, build_ball, extend_ball, geodesics_of
 
     base = spec.base
-    if mem_cap is None:
-        mem_cap = DEFAULT_MEM_CAP
-    if cache is None:
-        cache = BallCache(base, cap_elements=mem_cap)
+    ball = build_ball(base, 0, mem_cap=mem_cap)
     gen_lens = [
-        [base_geodesic_length(base, gw, cache) for gw in sub.generator_words]
+        [base_geodesic_length(base, gw, ball) for gw in sub.generator_words]
         for pair in spec.pairs
         for sub in (pair.u, pair.v)
     ]
@@ -420,8 +411,8 @@ def verify_isometric(spec: HnnSpec, max_len: int,
     strip = ConditionReport(True)
     for i, pair in enumerate(spec.pairs):
         for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
-            lu = base_geodesic_length(base, uw, cache)
-            lv = base_geodesic_length(base, vw, cache)
+            lu = base_geodesic_length(base, uw, ball)
+            lv = base_geodesic_length(base, vw, ball)
             if lu != lv:
                 strip.fail(
                     f"pair {i} generator {j}: |{format_word(uw)}|={lu} != |{format_word(vw)}|={lv}"
@@ -438,18 +429,18 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                         continue
                     expansion = sub.expand(sw)
                     want = len(expansion)
-                    got = base_geodesic_length(base, expansion, cache)
+                    got = base_geodesic_length(base, expansion, ball)
                     if got != want:
                         geo.fail(
                             f"pair {i} {side}: expansion {format_word(expansion)} "
                             f"has length {got} < {want}"
                         )
-    except RadiusCapError:
+    except BallCapError:
         incomplete = True
 
     total = ConditionReport(True)
     try:
-        ball = build_ball(base, max_len, mem_cap=mem_cap)
+        extend_ball(ball, max_len)
         blocks_per_sub = {}
         for i, pair in enumerate(spec.pairs):
             for side, sub in (("U", pair.u), ("V", pair.v)):
@@ -467,7 +458,7 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                                 f"pair {i} {side}: geodesic {format_word(geod)} of "
                                 f"{base.key_str(key)} is outside the generator language"
                             )
-    except (BallCapError, RadiusCapError):
+    except BallCapError:
         incomplete = True
 
     return IsometricReport(strip, geo, total, max_len, incomplete)

@@ -4,12 +4,11 @@ import pytest
 
 from conftest import naive_z2_abcd_ball
 from hnnkit.base_groups import (
-    BallCache,
-    RadiusCapError,
     abelian_from_presentation,
     base_geodesic_length,
     free_oracle,
 )
+from hnnkit.cayley import BallCapError, build_ball, locate
 from hnnkit.words import Word, invert, parse_word
 
 
@@ -20,7 +19,8 @@ def wise_base():
 
 @pytest.fixture(scope="module")
 def wise_cache(wise_base):
-    return BallCache(wise_base)
+    # grown on demand by the length lookups
+    return build_ball(wise_base, 0)
 
 
 def test_wise_base_structure(wise_base):
@@ -126,8 +126,21 @@ def test_length_symmetry_and_triangle(wise_base, wise_cache):
 
 def test_radius_cap_error():
     z2 = abelian_from_presentation(["a", "b"], [])
-    cache = BallCache(z2, cap_elements=20)
-    far = z2.evaluate(parse_word(z2.alphabet, "a" * 50))
-    with pytest.raises(RadiusCapError) as err:
-        cache.distance(far)
+    ball = build_ball(z2, 0, mem_cap=20)
+    with pytest.raises(BallCapError) as err:
+        base_geodesic_length(z2, parse_word(z2.alphabet, "a" * 50), ball)
     assert err.value.cap_elements == 20
+    # the lookup stops at the last complete sphere, which stays usable
+    assert len(ball) == sum(ball.sphere_sizes) <= 20
+    assert base_geodesic_length(z2, parse_word(z2.alphabet, "ab"), ball) == 2
+
+
+def test_length_lookup_in_finite_group():
+    z6 = abelian_from_presentation(["a"], ["aaaaaa"])
+    ball = build_ball(z6, 0)
+    assert base_geodesic_length(z6, parse_word(z6.alphabet, "aaaa"), ball) == 2
+    assert ball.radius == 2
+    # a key that is no element: the BFS exhausts the group, then gives up
+    with pytest.raises(ValueError, match="not an element"):
+        locate(ball, (7,))
+    assert ball.sphere_sizes == [1, 2, 2, 1, 0]

@@ -9,6 +9,7 @@ from hnnkit.cayley import (
     build_ball,
     distance,
     export_ball,
+    extend_ball,
     geodesics_of,
     is_geodesic,
 )
@@ -144,11 +145,62 @@ def test_export_determinism(z2_abcd):
         assert export_ball(b1, fmt) == export_ball(b2, fmt)
 
 
+def _ball_state(ball):
+    return (ball.radius, ball.keys, ball.ids, ball.dist, ball.trans, ball.preds,
+            ball.sphere_sizes, [ball.label(e) for e in range(len(ball))],
+            [ball.geodesic_count(e) for e in range(len(ball))])
+
+
+@pytest.mark.parametrize("name,r0,r", [
+    ("z2_abcd", 0, 9), ("z2_abcd", 3, 8), ("wise", 2, 5), ("g2", 1, 6), ("f2", 0, 6),
+])
+def test_extension_equals_fresh_build(name, r0, r, request):
+    group = request.getfixturevalue(name)
+    ball = build_ball(group, r0)
+    # fill the geodesic tables first: extending must invalidate them
+    ball.label(len(ball) - 1)
+    ball.geodesic_count(len(ball) - 1)
+    extend_ball(ball, r)
+    assert _ball_state(ball) == _ball_state(build_ball(group, r))
+
+
+def test_extension_of_exhausted_group():
+    from hnnkit.base_groups import abelian_from_presentation
+
+    z3 = abelian_from_presentation(["a"], ["aaa"])
+    ball = build_ball(z3, 1)
+    extend_ball(ball, 4)
+    assert ball.sphere_sizes == [1, 2, 0, 0, 0]
+    assert _ball_state(ball) == _ball_state(build_ball(z3, 4))
+
+
 def test_mem_cap(z2_abcd):
     with pytest.raises(BallCapError) as err:
         build_ball(z2_abcd, 9, mem_cap=50)
     assert err.value.cap_elements == 50
     assert 0 <= err.value.radius_reached < 9
+
+
+def test_mem_cap_keeps_the_last_complete_sphere(z2_abcd):
+    ball = build_ball(z2_abcd, 0, mem_cap=50)
+    with pytest.raises(BallCapError) as err:
+        extend_ball(ball, 9)
+    reached = err.value.radius_reached
+    assert reached == 2  # 27 elements, and radius 3 has 55
+    # the partial sphere is dropped; the ball is the complete radius-reached one
+    assert _ball_state(ball) == _ball_state(build_ball(z2_abcd, reached))
+    # the cap is the ball's own, so retrying fails the same way
+    with pytest.raises(BallCapError):
+        extend_ball(ball, reached + 1)
+
+
+def test_mem_cap_env_var_reaches_library_builds(z2_abcd, monkeypatch):
+    monkeypatch.setenv("HNNKIT_MEM_CAP", "50")
+    with pytest.raises(BallCapError) as err:
+        build_ball(z2_abcd, 9)
+    assert err.value.cap_elements == 50
+    # an explicit cap wins over the environment
+    assert len(build_ball(z2_abcd, 9, mem_cap=1000)) == 433
 
 
 def test_base_embeds_isometrically_in_extension(wise, z2_abcd):

@@ -105,6 +105,22 @@ def test_verify_isometric_pass_and_fail(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_isometric_obeys_mem_cap(capsys):
+    for name in ("wise", "g2"):
+        rc, out, _ = run(capsys, "verify-isometric", "--preset", name, "--max-len", "6",
+                         "--mem-cap", "10")
+        assert rc == 1
+        assert "report INCOMPLETE" in out
+
+
+def test_fftp_obeys_mem_cap(capsys):
+    # max-len 4 needs only 93 elements, but the k-cap 6 DP needs radius 8
+    rc, _, err = run(capsys, "fftp", "--preset", "z2_abcd", "--max-len", "4",
+                     "--k-cap", "6", "--mem-cap", "100", "--jobs", "1")
+    assert rc == 2
+    assert "resource error" in err
+
+
 def test_signatures(capsys):
     rc, out, _ = run(capsys, "signatures", "--preset", "wise", "-N", "3")
     assert rc == 0

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -168,6 +171,22 @@ def test_fftp_jobs_and_sampled_determinism(z2_abcd, z2_abcd_ball9):
     assert s1.seed == 99
 
 
+@pytest.mark.parametrize("name,max_len,k_cap,unreduced", [
+    ("z2_abcd", 6, 6, False), ("z2_ab", 6, 6, False), ("f2", 6, 6, True),
+    ("z2_abcd", 3, 0, False),
+])
+def test_fftp_report_independent_of_caller_radius(name, max_len, k_cap, unreduced, request):
+    # a caller ball below max(max_len, k_cap+2) is replaced by one of that
+    # radius; at or above it, the caller's ball serves both lookups
+    group = request.getfixturevalue(name)
+    reports = {
+        json.dumps(fftp_search(build_ball(group, r), max_len=max_len, k_cap=k_cap,
+                               include_unreduced=unreduced).to_dict(), sort_keys=True)
+        for r in (0, max_len, k_cap + 2, max(max_len, k_cap + 2) + 1)
+    }
+    assert len(reports) == 1
+
+
 def test_fftp_k_cap_unresolved_reporting(z2_abcd, z2_abcd_ball9):
     # with k_cap = 0 every non-geodesic word is unverifiable and must be listed
     report = fftp_search(z2_abcd_ball9, max_len=2, k_cap=0)
@@ -264,3 +283,38 @@ def test_signature_violation_detected(z2_abcd):
     report = verify_parallel_signatures(ball, FakeSpec())
     assert not report.passed
     assert report.violations[0]["word1"] != report.violations[0]["word2"]
+
+
+SELF_CHECK_SCRIPT = """
+import sys
+if __debug__:
+    sys.exit("assertions are on")
+import hnnkit.convexity as cx
+from hnnkit import build_ball, preset
+
+if sys.argv[1] == "fftp":
+    real = cx._FftpContext.companion
+
+    def corrupt(self, ids, cap):
+        got, v = real(self, ids, cap)
+        return got, v[:-1] + (v[-1] ^ 1,)  # last companion letter inverted
+
+    cx._FftpContext.companion = corrupt
+    cx.fftp_search(build_ball(preset("z2_ab"), 4), max_len=4, k_cap=6)
+else:
+    real = cx._inside_bfs
+    cx._inside_bfs = lambda *args: real(*args)[:-1]  # path misses its endpoint
+    cx.ac_profile(build_ball(preset("g2"), 3), 2)
+"""
+
+
+@pytest.mark.parametrize("engine,message", [
+    ("fftp", "fails re-verification"), ("ac", "misses its endpoint"),
+])
+def test_self_checks_survive_optimize_flag(engine, message):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT, engine],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError" in proc.stderr and message in proc.stderr, proc.stderr

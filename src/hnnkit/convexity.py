@@ -12,9 +12,13 @@ element w(t)^-1 v(t), which lives in a small ball around the identity.
 States are therefore ids in a "relative" ball, transitions are one table
 lookup for the companion letter and one for the inverse of w's letter, and
 the synchronous fellow-traveling distance is the running maximum of the
-state's distance.  Per word, the minimum over companions is a layered
-dynamic program; over all words of bounded length the program is shared
-along the prefix trie, so each trie node is extended once.
+state's distance.  Both tables come from the ball alone: the right
+transitions are its rows, and the left translates are walked along its
+predecessor links, with no oracle call.  Per word, the minimum over
+companions is a layered dynamic program with one layer step (extend_dp);
+over all words of bounded length the layers are shared along the prefix
+trie, so each trie node is extended once.  Sampled words and the witness
+companions use the same layers, a companion being read back from them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .cayley import BallIndex, OutOfBallError, build_ball
 from .words import Word, format_word
 
 INF = float("inf")
+# fftp first scores every word with its DP layers capped here, and rebuilds
+# them at k_cap only for words whose minimum exceeds it
+_INITIAL_CAP = 3
 
 
 def fellow_distance(ball: BallIndex, w1: Word, w2: Word) -> int:
@@ -315,29 +322,29 @@ def fftp_radius(max_len: int, k_cap: int) -> int:
 class _FftpContext:
     """Shared tables for the relative-coordinate DP (fork-shared by workers)."""
 
-    def __init__(self, ball: BallIndex, max_len: int, k_cap: int,
-                 initial_cap: int, reduced_only: bool):
-        oracle = ball.oracle
+    def __init__(self, ball: BallIndex, max_len: int, k_cap: int, reduced_only: bool):
         self.max_len = max_len
         self.k_cap = k_cap
-        self.initial_cap = min(initial_cap, k_cap)
+        self.initial_cap = min(_INITIAL_CAP, k_cap)
         self.reduced_only = reduced_only
-        self.n_letters = oracle.alphabet.n_letters
+        self.n_letters = ball.oracle.alphabet.n_letters
         radius = fftp_radius(max_len, k_cap)
         if ball.radius < radius:
-            ball = build_ball(oracle, radius, mem_cap=ball.mem_cap)
+            ball = build_ball(ball.oracle, radius, mem_cap=ball.mem_cap)
         self.rel = ball
-        self.rel_trans = ball.trans
+        self.rel_trans = trans = ball.trans
         self.rel_dist = ball.dist
-        # the DP reads left translates only within that radius, however big
-        # the caller's ball is; ids are contiguous per sphere
-        inner = ball.keys[:sum(ball.sphere_sizes[:radius + 1])]
+        # left translates l*g, read only for |g| <= k_cap + 1 (a state plus a
+        # letter).  For a predecessor link (p, y) of g, l*g = (l*p)*y with
+        # |l*p| <= |g| < radius, so the row exists and l*g is in the ball.
+        n_read = sum(ball.sphere_sizes[:k_cap + 2])
+        preds = ball.preds
         self.lefts = []
         for lid in range(self.n_letters):
-            col = [0] * len(inner)
-            for rid, key in enumerate(inner):
-                k2 = oracle.apply_letter_left(lid, key)
-                col[rid] = ball.ids.get(k2, -1)
+            col = [trans[0][lid]]
+            for g in range(1, n_read):
+                p, y = preds[g][0]
+                col.append(trans[col[p]][y])
             self.lefts.append(col)
 
     def extend_dp(self, dp: dict, x: int, cap: int) -> dict:
@@ -350,8 +357,6 @@ class _FftpContext:
             row = rel_trans[r]
             for y in range(self.n_letters):
                 r2 = left_xinv[row[y]]
-                if r2 < 0:
-                    continue
                 d = rel_dist[r2]
                 c2 = c if c >= d else d
                 if c2 <= cap:
@@ -360,70 +365,50 @@ class _FftpContext:
                         out[r2] = c2
         return out
 
-    def word_min(self, ids: tuple[int, ...], chain: list[int], cap: int):
-        """Per-word DP from scratch at the given cap; min fellow distance or INF."""
-        n = len(ids)
-        sufmax = self._suffix_max(chain)
-        dp: dict[int, int] = {0: 0}
-        best = INF
-        for level in range(n):
-            c = dp.get(chain[level])
-            if c is not None:
-                cost = c if c >= sufmax[level] else sufmax[level]
-                if cost < best:
-                    best = cost
-            if level < n - 1:
-                dp = self.extend_dp(dp, ids[level], cap)
-        return best
-
-    def _suffix_max(self, chain: list[int]) -> list[int]:
-        rel_dist = self.rel_dist
-        out = [0] * len(chain)
-        acc = 0
-        for j in range(len(chain) - 1, -1, -1):
-            d = rel_dist[chain[j]]
-            if d > acc:
-                acc = d
-            out[j] = acc
+    def layers(self, ids: tuple[int, ...], cap: int) -> list[dict]:
+        """The DP layers of levels 0 .. len(ids) - 1 at the given cap."""
+        out = [{0: 0}]
+        for x in ids[:-1]:
+            out.append(self.extend_dp(out[-1], x, cap))
         return out
+
+    def best_end(self, layers: list[dict], chain: list[int]):
+        """(min fellow distance, level where the companion ends), or (INF, -1).
+
+        A companion ending at level t rests at w's endpoint, so its cost is
+        its layer cost raised to the largest distance on chain[t:].
+        """
+        rel_dist = self.rel_dist
+        best, best_at, tail = INF, -1, 0
+        for level in range(len(layers) - 1, -1, -1):
+            d = rel_dist[chain[level]]
+            if d > tail:
+                tail = d
+            c = layers[level].get(chain[level])
+            if c is not None:
+                cost = c if c >= tail else tail
+                if cost <= best:
+                    best, best_at = cost, level
+        return best, best_at
 
     def companion(self, ids: tuple[int, ...], cap: int):
         """(min fellow distance, companion letter ids) for a non-geodesic word."""
-        n = len(ids)
+        layers = self.layers(ids, cap)
         chain = self._chain(ids)
-        sufmax = self._suffix_max(chain)
-        layers: list[dict[int, tuple[int, int, int]]] = [{0: (0, -1, -1)}]
-        for level in range(n - 1):
-            x = ids[level]
-            left_xinv = self.lefts[x ^ 1]
-            out: dict[int, tuple[int, int, int]] = {}
-            for r, (c, _, _) in layers[level].items():
-                row = self.rel_trans[r]
-                for y in range(self.n_letters):
-                    r2 = left_xinv[row[y]]
-                    if r2 < 0:
-                        continue
-                    d = self.rel_dist[r2]
-                    c2 = c if c >= d else d
-                    if c2 <= cap and (r2 not in out or out[r2][0] > c2):
-                        out[r2] = (c2, r, y)
-            layers.append(out)
-        best = INF
-        best_at = -1
-        for level in range(n):
-            hit = layers[level].get(chain[level])
-            if hit is None:
-                continue
-            cost = max(hit[0], sufmax[level])
-            if cost < best:
-                best = cost
-                best_at = level
-        if best_at < 0:
+        best, end = self.best_end(layers, chain)
+        if end < 0:
             return INF, ()
+        # walk back: at each level take the first (state, letter) of the
+        # previous layer, in scan order, that reaches the current state at
+        # its stored cost, which is the choice extend_dp's scan keeps
         v: list[int] = []
-        r = chain[best_at]
-        for level in range(best_at, 0, -1):
-            _, r, y = layers[level][r]
+        r = chain[end]
+        for level in range(end, 0, -1):
+            c, d = layers[level][r], self.rel_dist[r]
+            left_xinv = self.lefts[ids[level - 1] ^ 1]
+            r, y = next((p, y) for p, cp in layers[level - 1].items()
+                        for y, t in enumerate(self.rel_trans[p])
+                        if left_xinv[t] == r and (cp if cp >= d else d) == c)
             v.append(y)
         v.reverse()
         return best, tuple(v)
@@ -443,19 +428,16 @@ def _new_partial() -> dict:
 
 
 def _score_word(ctx: _FftpContext, ids: tuple[int, ...], chain: list[int],
-                dstack: list[dict], partial: dict):
-    n = len(ids)
-    sufmax = ctx._suffix_max(chain)
-    best = INF
-    for level in range(n):
-        c = dstack[level].get(chain[level])
-        if c is not None:
-            cost = c if c >= sufmax[level] else sufmax[level]
-            if cost < best:
-                best = cost
+                layers: list[dict], partial: dict):
+    """Count the word; score it if non-geodesic, from its layers at the initial cap."""
+    partial["total"] += 1
+    if ctx.rel_dist[chain[0]] == len(ids):
+        partial["geodesic"] += 1
+        return
+    best, _ = ctx.best_end(layers, chain)
     if best > ctx.initial_cap:
-        best = ctx.word_min(ids, chain, ctx.k_cap)
-    if best is INF or best > ctx.k_cap:
+        best, _ = ctx.best_end(ctx.layers(ids, ctx.k_cap), chain)
+    if best > ctx.k_cap:
         partial["unresolved"].append(ids)
         return
     m = int(best)
@@ -470,30 +452,22 @@ def _dfs_subtree(ctx: _FftpContext, first: int) -> dict:
     n_letters = ctx.n_letters
     max_len = ctx.max_len
     rel_trans = ctx.rel_trans
-    rel_dist = ctx.rel_dist
 
-    def visit(ids: tuple[int, ...], abs_id: int, chain: list[int], dstack: list[dict]):
-        n = len(ids)
-        partial["total"] += 1
-        if rel_dist[abs_id] == n:
-            partial["geodesic"] += 1
-        else:
-            _score_word(ctx, ids, chain, dstack, partial)
-        if n == max_len:
+    def visit(ids: tuple[int, ...], chain: list[int], dstack: list[dict]):
+        _score_word(ctx, ids, chain, dstack, partial)
+        if len(ids) == max_len:
             return
         dstack.append(ctx.extend_dp(dstack[-1], ids[-1], ctx.initial_cap))
-        row = rel_trans[abs_id]
         last = ids[-1]
         for lid in range(n_letters):
             if ctx.reduced_only and lid == last ^ 1:
                 continue
             chain2 = [rel_trans[r][lid] for r in chain]
             chain2.append(0)
-            visit(ids + (lid,), row[lid], chain2, dstack)
+            visit(ids + (lid,), chain2, dstack)
         dstack.pop()
 
-    abs_id = rel_trans[0][first]
-    visit((first,), abs_id, [rel_trans[0][first], 0], [{0: 0}])
+    visit((first,), [rel_trans[0][first], 0], [{0: 0}])
     return partial
 
 
@@ -519,8 +493,7 @@ def _merge_partials(parts: list[dict]) -> dict:
 
 def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhaustive",
                 sample_count: int = 0, seed: Optional[int] = None,
-                include_unreduced: bool = False, jobs: int = 1,
-                initial_cap: int = 3) -> FftpReport:
+                include_unreduced: bool = False, jobs: int = 1) -> FftpReport:
     """Find the smallest k that fellow-travel-falsifies every tested word.
 
     For each (or each sampled) non-geodesic word w of length <= max_len,
@@ -531,7 +504,7 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    ctx = _FftpContext(ball, max_len, k_cap, initial_cap, not include_unreduced)
+    ctx = _FftpContext(ball, max_len, k_cap, not include_unreduced)
     if mode == "exhaustive":
         tasks = list(range(ctx.n_letters)) if max_len > 0 else []
         parts = parallel.run_tasks(_fftp_worker, tasks, ctx, jobs)
@@ -549,23 +522,8 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
                         break
                 ids.append(lid)
             ids_t = tuple(ids)
-            merged["total"] += 1
-            abs_id = 0
-            for lid in ids_t:
-                abs_id = ctx.rel_trans[abs_id][lid]
-            if ctx.rel_dist[abs_id] == len(ids_t):
-                merged["geodesic"] += 1
-                continue
-            chain = ctx._chain(ids_t)
-            best = ctx.word_min(ids_t, chain, k_cap)
-            if best is INF or best > k_cap:
-                merged["unresolved"].append(ids_t)
-                continue
-            m = int(best)
-            merged["hist"][m] = merged["hist"].get(m, 0) + 1
-            cur = merged["witness"].get(m)
-            if cur is None or (len(ids_t), ids_t) < (len(cur), cur):
-                merged["witness"][m] = ids_t
+            _score_word(ctx, ids_t, ctx._chain(ids_t), ctx.layers(ids_t, ctx.initial_cap),
+                        merged)
         merged["unresolved"].sort(key=lambda ids: (len(ids), ids))
 
     alphabet = ball.oracle.alphabet

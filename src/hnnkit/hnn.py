@@ -3,8 +3,8 @@
 The extension is described by a base-group oracle, stable letters s_i and
 pairs of associated subgroups (U_i, V_i) with matched generator lists; the
 defining relations are s_i^-1 u_ij s_i = v_ij.  The isomorphism between U_i
-and V_i acts generator-wise on rewrites, which is exactly what the subgroup
-oracles' membership_with_rewrite provides.
+and V_i acts generator-wise, which is exactly what the subgroup oracles'
+image method provides.
 
 Canonical forms are built by a single left-to-right fold over letters.  The
 working state is an alternating list [g0, (i,e), g1, ..., gl] of base keys
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .base_groups import AbelianOracle, BaseGroupOracle, base_geodesic_length
-from .subgroups import CyclicSubgroup, SubgroupOracle, SubgroupWord
+from .base_groups import BaseGroupOracle, base_geodesic_length
+from .subgroups import SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
 
 
@@ -37,26 +37,13 @@ class AssociatedPair:
             )
         self.u = u
         self.v = v
-        self._cyclic = isinstance(u, CyclicSubgroup) and isinstance(v, CyclicSubgroup)
-
-    def _map(self, src: SubgroupOracle, dst: SubgroupOracle, key):
-        if self._cyclic:
-            n = src._multiple_of(key)  # type: ignore[attr-defined]
-            if n is None:
-                return None
-            base: AbelianOracle = dst.base  # type: ignore[assignment]
-            return base._norm([n * x for x in dst.vector])  # type: ignore[attr-defined]
-        sw = src.membership_with_rewrite(key)
-        if sw is None:
-            return None
-        return dst.evaluate_subgroup_word(sw)
 
     def phi(self, key):
         """Image in V of an element of U, or None if not a member."""
-        return self._map(self.u, self.v, key)
+        return self.u.image(key, self.v)
 
     def phi_inv(self, key):
-        return self._map(self.v, self.u, key)
+        return self.v.image(key, self.u)
 
 
 class HnnSpec(BaseGroupOracle):
@@ -394,33 +381,31 @@ def verify_isometric(spec: HnnSpec, max_len: int,
     verified over every subgroup element within the base ball of radius
     max_len, with every geodesic representative enumerated from the ball's
     predecessor links.  One base ball serves all three conditions; it grows
-    as the lengths need it, then to max_len.
+    as the lengths need it, then to max_len.  A cap hit anywhere marks the
+    report incomplete.
     """
     from .cayley import BallCapError, build_ball, extend_ball, geodesics_of
 
     base = spec.base
     ball = build_ball(base, 0, mem_cap=mem_cap)
-    gen_lens = [
-        [base_geodesic_length(base, gw, ball) for gw in sub.generator_words]
-        for pair in spec.pairs
-        for sub in (pair.u, pair.v)
-    ]
-    if max_len < max(max(ls) for ls in gen_lens):
-        raise ValueError("max_len must be at least the longest generator word")
-
-    strip = ConditionReport(True)
-    for i, pair in enumerate(spec.pairs):
-        for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
-            lu = base_geodesic_length(base, uw, ball)
-            lv = base_geodesic_length(base, vw, ball)
-            if lu != lv:
-                strip.fail(
-                    f"pair {i} generator {j}: |{format_word(uw)}|={lu} != |{format_word(vw)}|={lv}"
-                )
-
-    geo = ConditionReport(True)
+    strip, geo, total = ConditionReport(True), ConditionReport(True), ConditionReport(True)
     incomplete = False
     try:
+        gen_lens = [
+            [base_geodesic_length(base, gw, ball) for gw in sub.generator_words]
+            for pair in spec.pairs
+            for sub in (pair.u, pair.v)
+        ]
+        if max_len < max(max(ls) for ls in gen_lens):
+            raise ValueError("max_len must be at least the longest generator word")
+
+        for i, pair in enumerate(spec.pairs):
+            for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
+                lu, lv = gen_lens[2 * i][j], gen_lens[2 * i + 1][j]
+                if lu != lv:
+                    strip.fail(f"pair {i} generator {j}: |{format_word(uw)}|={lu} "
+                               f"!= |{format_word(vw)}|={lv}")
+
         for i, pair in enumerate(spec.pairs):
             for side, sub in (("U", pair.u), ("V", pair.v)):
                 weights = [len(gw) for gw in sub.generator_words]
@@ -435,11 +420,7 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                             f"pair {i} {side}: expansion {format_word(expansion)} "
                             f"has length {got} < {want}"
                         )
-    except BallCapError:
-        incomplete = True
 
-    total = ConditionReport(True)
-    try:
         extend_ball(ball, max_len)
         blocks_per_sub = {}
         for i, pair in enumerate(spec.pairs):
@@ -459,6 +440,7 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                                 f"{base.key_str(key)} is outside the generator language"
                             )
     except BallCapError:
+        # the ball stops at a complete radius; every check left is unknown
         incomplete = True
 
     return IsometricReport(strip, geo, total, max_len, incomplete)

@@ -9,6 +9,9 @@ A subgroup oracle answers two questions about its base group:
   * coset_rep(key): a canonical representative of the right coset (sub)*g,
     constant on cosets and idempotent on representatives.
 
+image(key, target) maps a member onto a subgroup with matched generator
+words, generator by generator; this is the isomorphism of an HNN pair.
+
 Cyclic subgroups of abelian groups are handled by exact integer arithmetic.
 Finitely generated subgroups of free groups are handled by a folded
 edge-labeled automaton; every fold keeps, per edge, an expression over the
@@ -24,6 +27,12 @@ from .base_groups import AbelianOracle, BaseGroupOracle, FreeOracle
 from .words import Word, free_reduce
 
 SubgroupWord = tuple  # of (generator index, sign) pairs
+
+# Membership answers a Stallings oracle keeps before it drops them all and
+# starts over.  Ball builds and word folds ask about the same segments again
+# and again (90 % hits on the g2 radius-8 ball and its checks, 98 % on long
+# g2 words); the bound keeps long runs from growing the cache without limit.
+_REWRITE_CACHE_SIZE = 1 << 16
 
 
 class SchreierDepthError(RuntimeError):
@@ -92,6 +101,16 @@ class SubgroupOracle:
     def evaluate_subgroup_word(self, sw: SubgroupWord):
         return self.base.evaluate(self.expand(sw))
 
+    def image(self, key, target: "SubgroupOracle"):
+        """Image of key under the generator-wise isomorphism onto target.
+
+        None if key is not a member of this subgroup.
+        """
+        sw = self.membership_with_rewrite(key)
+        if sw is None:
+            return None
+        return target.evaluate_subgroup_word(sw)
+
 
 class CyclicSubgroup(SubgroupOracle):
     """<w> inside an abelian base; membership is exact integer divisibility."""
@@ -132,6 +151,12 @@ class CyclicSubgroup(SubgroupOracle):
             return None
         sign = 1 if n > 0 else -1
         return tuple((0, sign) for _ in range(abs(n)))
+
+    def image(self, key, target: "CyclicSubgroup"):
+        n = self._multiple_of(key)
+        if n is None:
+            return None
+        return target.base._norm([n * x for x in target.vector])
 
     def coset_rep(self, key):
         base: AbelianOracle = self.base  # type: ignore[assignment]
@@ -310,6 +335,8 @@ class StallingsSubgroup(SubgroupOracle):
             v = nxt
         if ok and v == 0:
             result = _sw_reduce(parts)
+        if len(self._rewrite_cache) >= _REWRITE_CACHE_SIZE:
+            self._rewrite_cache.clear()
         self._rewrite_cache[key] = result
         return result
 

@@ -8,7 +8,9 @@ import pytest
 
 from conftest import naive_z2_abcd_ball
 from hnnkit.cayley import OutOfBallError, build_ball
+import hnnkit.convexity as cx
 from hnnkit.convexity import (
+    _FftpContext,
     ac_profile,
     fellow_distance,
     fftp_search,
@@ -144,6 +146,7 @@ def test_fftp_against_naive_search(z2_abcd, z2_abcd_ball9):
         return best
 
     report = fftp_search(ball, max_len=4, k_cap=6)
+    ctx = _FftpContext(ball, 4, 6, True)
     expected_hist = {}
     reduced = [
         ids
@@ -151,10 +154,18 @@ def test_fftp_against_naive_search(z2_abcd, z2_abcd_ball9):
         if ids and all(ids[i] != ids[i + 1] ^ 1 for i in range(len(ids) - 1))
     ]
     for ids in reduced:
-        if ball.distance_of_key(z2_abcd.evaluate(Word(z2_abcd.alphabet, ids))) == len(ids):
+        w = Word(z2_abcd.alphabet, ids)
+        if ball.distance_of_key(z2_abcd.evaluate(w)) == len(ids):
             continue
         m = naive_min(ids)
         expected_hist[m] = expected_hist.get(m, 0) + 1
+        # every companion the DP reads back, not only the recorded witnesses
+        got, v_ids = ctx.companion(ids, 6)
+        v = Word(z2_abcd.alphabet, v_ids)
+        assert got == m
+        assert len(v) < len(w)
+        assert z2_abcd.evaluate(v) == z2_abcd.evaluate(w)
+        assert fellow_distance(ball, w, v) == m
     assert report.histogram == expected_hist
     assert report.k_min == max(expected_hist)
 
@@ -185,6 +196,55 @@ def test_fftp_report_independent_of_caller_radius(name, max_len, k_cap, unreduce
         for r in (0, max_len, k_cap + 2, max(max_len, k_cap + 2) + 1)
     }
     assert len(reports) == 1
+
+
+WISE_FFTP_4_4 = {
+    "k_min": 3, "max_len": 4, "k_cap": 4, "mode": "exhaustive", "seed": None,
+    "include_unreduced": False, "total_words": 17568, "geodesic_words": 9536,
+    "non_geodesic_words": 8032, "histogram": {"1": 7228, "2": 796, "3": 8},
+    "witnesses": [
+        {"word": "ab", "companion": "c", "fellow_distance": 1},
+        {"word": "ad'a'", "companion": "d'", "fellow_distance": 2},
+        {"word": "dds'd'", "companion": "s'b'b'", "fellow_distance": 3},
+    ],
+    "falsifiers": {"1": "ad'a'", "2": "dds'd'"}, "unresolved": [],
+}
+G2_FFTP_4_4_UNREDUCED = {
+    "k_min": 2, "max_len": 4, "k_cap": 4, "mode": "exhaustive", "seed": None,
+    "include_unreduced": True, "total_words": 1554, "geodesic_words": 924,
+    "non_geodesic_words": 630, "histogram": {"1": 258, "2": 372},
+    "witnesses": [
+        {"word": "aa'", "companion": "", "fellow_distance": 1},
+        {"word": "aa'a'", "companion": "a'", "fellow_distance": 2},
+    ],
+    "falsifiers": {"1": "aa'a'"}, "unresolved": [],
+}
+
+
+@pytest.mark.parametrize("name,unreduced,expected", [
+    ("wise", False, WISE_FFTP_4_4), ("g2", True, G2_FFTP_4_4_UNREDUCED),
+])
+def test_fftp_on_hnn_extensions(name, unreduced, expected, request):
+    group = request.getfixturevalue(name)
+    report = fftp_search(build_ball(group, 0), max_len=4, k_cap=4,
+                         include_unreduced=unreduced)
+    assert report.to_dict() == expected
+
+
+@pytest.mark.parametrize("initial_cap", [0, 1])
+@pytest.mark.parametrize("name,max_len,unreduced", [("z2_abcd", 5, False), ("f2", 6, True)])
+def test_fftp_k_cap_fallback(name, max_len, unreduced, initial_cap, request, monkeypatch):
+    # every preset's per-word minima are <= 3, so only a lower initial cap
+    # sends words to the rebuild at k_cap
+    ball = build_ball(request.getfixturevalue(name), 0)
+
+    def report():
+        got = fftp_search(ball, max_len=max_len, k_cap=6, include_unreduced=unreduced)
+        return json.dumps(got.to_dict(), sort_keys=True)
+
+    default = report()
+    monkeypatch.setattr(cx, "_INITIAL_CAP", initial_cap)
+    assert report() == default
 
 
 def test_fftp_k_cap_unresolved_reporting(z2_abcd, z2_abcd_ball9):

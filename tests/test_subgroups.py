@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import hnnkit.subgroups as subgroups
 from hnnkit.base_groups import abelian_from_presentation, free_oracle
 from hnnkit.subgroups import (
     SchreierDepthError,
@@ -115,6 +116,42 @@ def test_stallings_rewrite_soundness_exhaustive(f2):
             sw = sub.membership_with_rewrite(key)
             if sw is not None:
                 assert f2.evaluate(sub.expand(sw)) == key
+
+
+def test_stallings_rewrite_cache_is_bounded(f2, monkeypatch):
+    p = lambda s: parse_word(f2.alphabet, s)
+    gens = [p("bb"), p("aba")]
+    keys = [f2.evaluate(w) for w in enumerate_words(f2.alphabet, 6)]
+    want = [stallings_subgroup(f2, gens).membership_with_rewrite(k) for k in keys]
+    monkeypatch.setattr(subgroups, "_REWRITE_CACHE_SIZE", 8)
+    sub = stallings_subgroup(f2, gens)
+    got = []
+    for k in keys + keys:
+        got.append(sub.membership_with_rewrite(k))
+        assert len(sub._rewrite_cache) <= 8
+    assert got == want + want
+
+
+def test_image_is_the_generator_wise_isomorphism(wise_base, f2):
+    p = lambda o, s: parse_word(o.alphabet, s)
+    pairs = [
+        (cyclic_subgroup(wise_base, p(wise_base, "a")),
+         cyclic_subgroup(wise_base, p(wise_base, "c"))),
+        (stallings_subgroup(f2, [p(f2, "aa"), p(f2, "bab")]),
+         stallings_subgroup(f2, [p(f2, "ba"), p(f2, "b'b'")])),
+    ]
+    for u, v in pairs:
+        base = u.base
+        for sw in (((0, 1),), ((0, -1), (0, -1), (0, -1)), ((0, 1), (1, -1), (0, 1))):
+            if max(j for j, _ in sw) >= len(u.generator_words):
+                continue
+            key = u.evaluate_subgroup_word(sw)
+            img = u.image(key, v)
+            assert img == v.evaluate_subgroup_word(sw)
+            assert v.image(img, u) == key
+        outside = base.evaluate(p(base, "b"))
+        assert not u.contains(outside)
+        assert u.image(outside, v) is None
 
 
 def test_stallings_membership_completeness(f2):

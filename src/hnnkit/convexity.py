@@ -15,10 +15,16 @@ the synchronous fellow-traveling distance is the running maximum of the
 state's distance.  Both tables come from the ball alone: the right
 transitions are its rows, and the left translates are walked along its
 predecessor links, with no oracle call.  Per word, the minimum over
-companions is a layered dynamic program with one layer step (extend_dp);
-over all words of bounded length the layers are shared along the prefix
-trie, so each trie node is extended once.  Sampled words and the witness
-companions use the same layers, a companion being read back from them.
+companions is a layered dynamic program with one layer step (extend_dp).
+A layer is a dict from state to cost in ascending state order, and only a
+few hundred distinct layers ever occur, so each is interned as a small int
+and the step is memoized per (layer, letter, cap): over all words of
+bounded length the prefix trie holds layer ids, and extend_dp runs once per
+distinct step, not once per trie node.  A word's chain of states
+w(t)^-1 w(n) is read lazily from its end, one left translate per level,
+until its running maximum rules out every earlier level.  Sampled words and
+the witness companions use the same layers, a companion being read back
+from them.
 """
 
 from __future__ import annotations
@@ -320,7 +326,12 @@ def fftp_radius(max_len: int, k_cap: int) -> int:
 
 
 class _FftpContext:
-    """Shared tables for the relative-coordinate DP (fork-shared by workers)."""
+    """Shared tables for the relative-coordinate DP (fork-shared by workers).
+
+    A DP layer is interned as a small int: layer 0 is {0: 0}, and step()
+    computes each (layer, letter, cap) transition once.  Forked workers fill
+    their own copies of the tables.
+    """
 
     def __init__(self, ball: BallIndex, max_len: int, k_cap: int, reduced_only: bool):
         self.max_len = max_len
@@ -346,9 +357,16 @@ class _FftpContext:
                 p, y = preds[g][0]
                 col.append(trans[col[p]][y])
             self.lefts.append(col)
+        self.layer_dp: list[dict] = [{0: 0}]  # layer id -> layer
+        self._layer_ids: dict[tuple, int] = {((0,), (0,)): 0}  # (states, costs) -> layer id
+        self._steps: dict[tuple[int, int, int], int] = {}  # (layer, letter, cap) -> layer
 
     def extend_dp(self, dp: dict, x: int, cap: int) -> dict:
-        """One layer: the scanned word advances by letter x, companions by any letter."""
+        """One layer: the scanned word advances by letter x, companions by any letter.
+
+        The result is in ascending state order, so equal layers are equal
+        item for item.
+        """
         out: dict[int, int] = {}
         left_xinv = self.lefts[x ^ 1]
         rel_dist = self.rel_dist
@@ -363,80 +381,97 @@ class _FftpContext:
                     prev = out.get(r2)
                     if prev is None or prev > c2:
                         out[r2] = c2
-        return out
+        return dict(sorted(out.items()))
 
-    def layers(self, ids: tuple[int, ...], cap: int) -> list[dict]:
-        """The DP layers of levels 0 .. len(ids) - 1 at the given cap."""
-        out = [{0: 0}]
+    def step(self, layer: int, x: int, cap: int) -> int:
+        """The id of extend_dp(layer, x, cap), computed once per key."""
+        key = (layer, x, cap)
+        nxt = self._steps.get(key)
+        if nxt is None:
+            dp = self.extend_dp(self.layer_dp[layer], x, cap)
+            nxt = self._layer_ids.setdefault((tuple(dp), tuple(dp.values())),
+                                             len(self.layer_dp))
+            if nxt == len(self.layer_dp):
+                self.layer_dp.append(dp)
+            self._steps[key] = nxt
+        return nxt
+
+    def layers(self, ids: tuple[int, ...], cap: int) -> list[int]:
+        """The layer ids of levels 0 .. len(ids) - 1 at the given cap."""
+        out = [0]
         for x in ids[:-1]:
-            out.append(self.extend_dp(out[-1], x, cap))
+            out.append(self.step(out[-1], x, cap))
         return out
 
-    def best_end(self, layers: list[dict], chain: list[int]):
-        """(min fellow distance, level where the companion ends), or (INF, -1).
+    def best_end(self, layers: list[int], ids: tuple[int, ...], cap: int):
+        """(min fellow distance, end level, chain state there), or (INF, -1, 0).
 
-        A companion ending at level t rests at w's endpoint, so its cost is
-        its layer cost raised to the largest distance on chain[t:].
+        The chain state at level t is w(t)^-1 * w(n) = ids[t] * (state at
+        t + 1), read from the word's end.  A companion ending at level t
+        rests at w's endpoint, so its cost is its layer cost raised to the
+        largest distance on the chain from t on.  The walk stops once that
+        tail exceeds the best cost so far or the cap, since no earlier level
+        can then do better; a minimum above the cap comes back as INF.
         """
         rel_dist = self.rel_dist
-        best, best_at, tail = INF, -1, 0
+        lefts = self.lefts
+        layer_dp = self.layer_dp
+        best, best_at, best_r = INF, -1, 0
+        limit, tail, r = cap, 0, 0
         for level in range(len(layers) - 1, -1, -1):
-            d = rel_dist[chain[level]]
+            r = lefts[ids[level]][r]
+            d = rel_dist[r]
             if d > tail:
+                if d > limit:
+                    break
                 tail = d
-            c = layers[level].get(chain[level])
+            c = layer_dp[layers[level]].get(r)
             if c is not None:
-                cost = c if c >= tail else tail
-                if cost <= best:
-                    best, best_at = cost, level
-        return best, best_at
+                if c < tail:
+                    c = tail
+                if c <= limit:
+                    best = limit = c
+                    best_at, best_r = level, r
+        return best, best_at, best_r
 
     def companion(self, ids: tuple[int, ...], cap: int):
         """(min fellow distance, companion letter ids) for a non-geodesic word."""
         layers = self.layers(ids, cap)
-        chain = self._chain(ids)
-        best, end = self.best_end(layers, chain)
+        best, end, r = self.best_end(layers, ids, cap)
         if end < 0:
             return INF, ()
         # walk back: at each level take the first (state, letter) of the
         # previous layer, in scan order, that reaches the current state at
         # its stored cost, which is the choice extend_dp's scan keeps
         v: list[int] = []
-        r = chain[end]
         for level in range(end, 0, -1):
-            c, d = layers[level][r], self.rel_dist[r]
+            c, d = self.layer_dp[layers[level]][r], self.rel_dist[r]
             left_xinv = self.lefts[ids[level - 1] ^ 1]
-            r, y = next((p, y) for p, cp in layers[level - 1].items()
+            r, y = next((p, y) for p, cp in self.layer_dp[layers[level - 1]].items()
                         for y, t in enumerate(self.rel_trans[p])
                         if left_xinv[t] == r and (cp if cp >= d else d) == c)
             v.append(y)
         v.reverse()
         return best, tuple(v)
 
-    def _chain(self, ids: tuple[int, ...]) -> list[int]:
-        """chain[j] = relative id of w(j)^-1 * w(n), for the full word."""
-        chain = [0]
-        for lid in ids:
-            row_apply = self.rel_trans
-            chain = [row_apply[r][lid] for r in chain]
-            chain.append(0)
-        return chain
-
 
 def _new_partial() -> dict:
     return {"total": 0, "geodesic": 0, "hist": {}, "witness": {}, "unresolved": []}
 
 
-def _score_word(ctx: _FftpContext, ids: tuple[int, ...], chain: list[int],
-                layers: list[dict], partial: dict):
-    """Count the word; score it if non-geodesic, from its layers at the initial cap."""
+def _score_word(ctx: _FftpContext, ids: tuple[int, ...], end: int,
+                layers: list[int], partial: dict):
+    """Count the word; score it if non-geodesic, from its layers at the initial cap.
+
+    end is the ball id of the word's endpoint.
+    """
     partial["total"] += 1
-    if ctx.rel_dist[chain[0]] == len(ids):
+    if ctx.rel_dist[end] == len(ids):
         partial["geodesic"] += 1
         return
-    best, _ = ctx.best_end(layers, chain)
+    best, _, _ = ctx.best_end(layers, ids, ctx.initial_cap)
     if best > ctx.initial_cap:
-        best, _ = ctx.best_end(ctx.layers(ids, ctx.k_cap), chain)
+        best, _, _ = ctx.best_end(ctx.layers(ids, ctx.k_cap), ids, ctx.k_cap)
     if best > ctx.k_cap:
         partial["unresolved"].append(ids)
         return
@@ -453,21 +488,20 @@ def _dfs_subtree(ctx: _FftpContext, first: int) -> dict:
     max_len = ctx.max_len
     rel_trans = ctx.rel_trans
 
-    def visit(ids: tuple[int, ...], chain: list[int], dstack: list[dict]):
-        _score_word(ctx, ids, chain, dstack, partial)
+    def visit(ids: tuple[int, ...], end: int, dstack: list[int]):
+        _score_word(ctx, ids, end, dstack, partial)
         if len(ids) == max_len:
             return
-        dstack.append(ctx.extend_dp(dstack[-1], ids[-1], ctx.initial_cap))
         last = ids[-1]
+        dstack.append(ctx.step(dstack[-1], last, ctx.initial_cap))
+        row = rel_trans[end]
         for lid in range(n_letters):
             if ctx.reduced_only and lid == last ^ 1:
                 continue
-            chain2 = [rel_trans[r][lid] for r in chain]
-            chain2.append(0)
-            visit(ids + (lid,), chain2, dstack)
+            visit(ids + (lid,), row[lid], dstack)
         dstack.pop()
 
-    visit((first,), [rel_trans[0][first], 0], [{0: 0}])
+    visit((first,), rel_trans[0][first], [0])
     return partial
 
 
@@ -504,6 +538,11 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("max_len", max_len), ("k_cap", k_cap), ("sample_count", sample_count)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if mode == "sampled" and max_len < 1:
+        raise ValueError("sampled mode needs max_len >= 1")
     ctx = _FftpContext(ball, max_len, k_cap, not include_unreduced)
     if mode == "exhaustive":
         tasks = list(range(ctx.n_letters)) if max_len > 0 else []
@@ -515,15 +554,16 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
         for _ in range(sample_count):
             n = rng.randint(1, max_len)
             ids: list[int] = []
+            end = 0
             for _ in range(n):
                 while True:
                     lid = rng.randrange(ctx.n_letters)
                     if include_unreduced or not ids or lid != ids[-1] ^ 1:
                         break
                 ids.append(lid)
+                end = ctx.rel_trans[end][lid]
             ids_t = tuple(ids)
-            _score_word(ctx, ids_t, ctx._chain(ids_t), ctx.layers(ids_t, ctx.initial_cap),
-                        merged)
+            _score_word(ctx, ids_t, end, ctx.layers(ids_t, ctx.initial_cap), merged)
         merged["unresolved"].sort(key=lambda ids: (len(ids), ids))
 
     alphabet = ball.oracle.alphabet

@@ -93,6 +93,18 @@ def test_fftp_sampled_mode(capsys):
     assert doc["report"]["total_words"] == 100
 
 
+def test_fftp_rejects_bad_arguments(capsys):
+    for args, message in (
+        (("--max-len", "0", "--mode", "sampled:3:1"), "sampled mode needs max_len >= 1"),
+        (("--max-len", "3", "--k-cap", "-1"), "k_cap must be >= 0"),
+        (("--max-len", "-2"), "max_len must be >= 0"),
+    ):
+        rc, out, err = run(capsys, "fftp", "--preset", "z2_ab", "--jobs", "1", *args)
+        assert rc == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+
 def test_verify_isometric_pass_and_fail(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify-isometric", "--preset", "g2", "--max-len", "6")
     assert rc == 0

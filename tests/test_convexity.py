@@ -114,60 +114,93 @@ def test_fftp_geodesic_only_input_is_vacuous(z2_ab_ball9):
     assert report.non_geodesic_words == 0
 
 
-def test_fftp_against_naive_search(z2_abcd, z2_abcd_ball9):
-    # independent oracle: for every non-geodesic word of length <= 4, minimize
-    # the fellow distance over all shorter words by direct enumeration
-    ball = z2_abcd_ball9
-    n_letters = z2_abcd.alphabet.n_letters
+def _all_words(n_letters, max_len, reduced):
+    """Every word of length <= max_len as a tuple of letter ids, by length."""
+    out = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [ids + (lid,) for ids in frontier for lid in range(n_letters)
+                    if not (reduced and ids and lid == ids[-1] ^ 1)]
+        out.extend(frontier)
+    return out
 
-    def all_words(max_len):
-        frontier = [()]
-        out = [()]
-        for _ in range(max_len):
-            nxt = []
-            for ids in frontier:
-                for lid in range(n_letters):
-                    nxt.append(ids + (lid,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
 
-    def naive_min(w_ids):
-        target = z2_abcd.evaluate(Word(z2_abcd.alphabet, w_ids))
-        best = None
-        for v_ids in all_words(len(w_ids) - 1):
-            if z2_abcd.evaluate(Word(z2_abcd.alphabet, v_ids)) != target:
+def test_fftp_against_naive_search(z2_abcd, wise, g2):
+    # independent oracle: for every non-geodesic word, minimize the fellow
+    # distance over all shorter words by direct enumeration
+    for group, max_len, k_cap, unreduced in (
+        (z2_abcd, 4, 6, False), (wise, 3, 3, False), (g2, 3, 4, True),
+    ):
+        alphabet = group.alphabet
+        word = lambda ids: Word(alphabet, ids)
+        # fellow distances of words of length <= max_len stay below 2 * max_len
+        ball = build_ball(group, max(cx.fftp_radius(max_len, k_cap), 2 * max_len - 1))
+        shorter: dict = {}
+        for v_ids in _all_words(alphabet.n_letters, max_len - 1, False):
+            shorter.setdefault(group.evaluate(word(v_ids)), []).append(word(v_ids))
+
+        report = fftp_search(ball, max_len=max_len, k_cap=k_cap,
+                             include_unreduced=unreduced)
+        ctx = _FftpContext(ball, max_len, k_cap, not unreduced)
+        expected_hist = {}
+        for ids in _all_words(alphabet.n_letters, max_len, not unreduced)[1:]:
+            w = word(ids)
+            target = group.evaluate(w)
+            if ball.distance_of_key(target) == len(ids):
                 continue
-            fd = fellow_distance(
-                ball, Word(z2_abcd.alphabet, w_ids), Word(z2_abcd.alphabet, v_ids)
-            )
-            if best is None or fd < best:
-                best = fd
-        return best
+            m = min(fellow_distance(ball, w, v)
+                    for v in shorter[target] if len(v) < len(w))
+            expected_hist[m] = expected_hist.get(m, 0) + 1
+            # every companion the DP reads back, not only the recorded witnesses
+            got, v_ids = ctx.companion(ids, k_cap)
+            v = word(v_ids)
+            assert got == m
+            assert len(v) < len(w)
+            assert group.evaluate(v) == target
+            assert fellow_distance(ball, w, v) == m
+        assert report.histogram == expected_hist
+        assert report.k_min == max(expected_hist)
 
-    report = fftp_search(ball, max_len=4, k_cap=6)
-    ctx = _FftpContext(ball, 4, 6, True)
-    expected_hist = {}
-    reduced = [
-        ids
-        for ids in all_words(4)
-        if ids and all(ids[i] != ids[i + 1] ^ 1 for i in range(len(ids) - 1))
-    ]
-    for ids in reduced:
-        w = Word(z2_abcd.alphabet, ids)
-        if ball.distance_of_key(z2_abcd.evaluate(w)) == len(ids):
-            continue
-        m = naive_min(ids)
-        expected_hist[m] = expected_hist.get(m, 0) + 1
-        # every companion the DP reads back, not only the recorded witnesses
-        got, v_ids = ctx.companion(ids, 6)
-        v = Word(z2_abcd.alphabet, v_ids)
-        assert got == m
-        assert len(v) < len(w)
-        assert z2_abcd.evaluate(v) == z2_abcd.evaluate(w)
-        assert fellow_distance(ball, w, v) == m
-    assert report.histogram == expected_hist
-    assert report.k_min == max(expected_hist)
+
+def _full_chain_best_end(ctx, dps, ids):
+    """Reference minimum: the whole chain w(j)^-1 * w(n), every level scanned."""
+    chain = [0]
+    for lid in ids:
+        chain = [ctx.rel_trans[r][lid] for r in chain]
+        chain.append(0)
+    best, best_at, tail = cx.INF, -1, 0
+    for level in range(len(dps) - 1, -1, -1):
+        d = ctx.rel_dist[chain[level]]
+        if d > tail:
+            tail = d
+        c = dps[level].get(chain[level])
+        if c is not None:
+            cost = c if c >= tail else tail
+            if cost <= best:
+                best, best_at = cost, level
+    return best, best_at, chain
+
+
+@pytest.mark.parametrize("name,k_cap,unreduced", [
+    ("z2_abcd", 6, False), ("wise", 4, False), ("g2", 4, True),
+])
+def test_fftp_layer_memo_matches_full_chain(name, k_cap, unreduced, request):
+    group = request.getfixturevalue(name)
+    ctx = _FftpContext(build_ball(group, 0), 4, k_cap, not unreduced)
+    for cap in (1, 3, k_cap):
+        raw = {(): [{0: 0}]}  # word minus its last letter -> extend_dp chain from {0: 0}
+        for ids in _all_words(group.alphabet.n_letters, 4, not unreduced)[1:]:
+            if ids[:-1] not in raw:
+                prev = raw[ids[:-2]]
+                raw[ids[:-1]] = prev + [ctx.extend_dp(prev[-1], ids[-2], cap)]
+            dps = raw[ids[:-1]]
+            layers = ctx.layers(ids, cap)
+            assert [list(ctx.layer_dp[i].items()) for i in layers] == [
+                list(dp.items()) for dp in dps]
+            want, want_at, chain = _full_chain_best_end(ctx, dps, ids)
+            got, got_at, state = ctx.best_end(layers, ids, cap)
+            if want <= cap or got <= cap:
+                assert (got, got_at, state) == (want, want_at, chain[want_at])
 
 
 def test_fftp_jobs_and_sampled_determinism(z2_abcd, z2_abcd_ball9):
@@ -221,13 +254,31 @@ G2_FFTP_4_4_UNREDUCED = {
 }
 
 
+Z2_ABCD_SAMPLED_5_6 = {
+    "k_min": 2, "max_len": 5, "k_cap": 6, "mode": "sampled", "seed": 99,
+    "include_unreduced": False, "total_words": 200, "geodesic_words": 87,
+    "non_geodesic_words": 113, "histogram": {"1": 111, "2": 2},
+    "witnesses": [
+        {"word": "ab", "companion": "c", "fellow_distance": 1},
+        {"word": "bd'b'", "companion": "d'", "fellow_distance": 2},
+    ],
+    "falsifiers": {"1": "bd'b'"}, "unresolved": [],
+}
+
+
 @pytest.mark.parametrize("name,unreduced,expected", [
     ("wise", False, WISE_FFTP_4_4), ("g2", True, G2_FFTP_4_4_UNREDUCED),
+    ("z2_abcd", False, Z2_ABCD_SAMPLED_5_6),
 ])
 def test_fftp_on_hnn_extensions(name, unreduced, expected, request):
+    # whole reports pinned from earlier versions; the run's settings are read
+    # from the pinned report itself
     group = request.getfixturevalue(name)
-    report = fftp_search(build_ball(group, 0), max_len=4, k_cap=4,
-                         include_unreduced=unreduced)
+    sampled = expected["mode"] == "sampled"
+    report = fftp_search(build_ball(group, 0), max_len=expected["max_len"],
+                         k_cap=expected["k_cap"], mode=expected["mode"],
+                         sample_count=expected["total_words"] if sampled else 0,
+                         seed=expected["seed"], include_unreduced=unreduced)
     assert report.to_dict() == expected
 
 

@@ -9,7 +9,9 @@ predecessor links makes geodesic enumeration a walk, not a search.
 
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
-exports derived from one.
+exports derived from one.  The ids of each sphere are therefore one
+contiguous range, which BallIndex.sphere(n) returns; no other module
+relies on that layout.
 
 A ball is resumable: extend_ball grows it sphere by sphere from the last
 one, and ids are prefix-stable, so extending a radius-r0 ball to radius r
@@ -81,6 +83,13 @@ class BallIndex:
     def distance_of_key(self, key) -> int:
         return self.dist[self.id_of(key)]
 
+    def sphere(self, n: int) -> range:
+        """Ids of the elements at distance n, for 0 <= n <= radius."""
+        if not 0 <= n <= self.radius:
+            raise OutOfBallError(n, self.radius)
+        start = sum(self.sphere_sizes[:n])
+        return range(start, start + self.sphere_sizes[n])
+
     def neighbors(self, eid: int) -> list[int]:
         row = self.trans[eid]
         if row is None:
@@ -149,10 +158,8 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     keys = ball.keys
     dist = ball.dist
     preds = ball.preds
-    # BFS ids are contiguous per sphere: the frontier is the last sphere
-    frontier = range(len(keys) - ball.sphere_sizes[-1], len(keys))
     for d in range(ball.radius, radius):
-        nxt: list[int] = []
+        frontier = ball.sphere(d)
         n_before = len(keys)
         try:
             for eid in frontier:
@@ -170,7 +177,6 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
                         dist.append(d + 1)
                         ball.trans.append(None)
                         preds.append([(eid, lid)])
-                        nxt.append(tid)
                     elif dist[tid] == d + 1:
                         preds[tid].append((eid, lid))
                     row[lid] = tid
@@ -183,12 +189,11 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
             for eid in frontier:
                 ball.trans[eid] = None
             raise
-        frontier = nxt
-        ball.sphere_sizes.append(len(nxt))
+        ball.sphere_sizes.append(len(keys) - n_before)
         ball.radius = d + 1
         if progress is not None:
             progress(d + 1, len(keys))
-        if not nxt:
+        if len(keys) == n_before:
             break
     while len(ball.sphere_sizes) < radius + 1:
         ball.sphere_sizes.append(0)

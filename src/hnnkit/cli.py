@@ -16,7 +16,8 @@ import time
 
 from . import __version__
 from .cayley import BallCapError, OutOfBallError, build_ball, export_ball, locate
-from .convexity import ac_profile, fftp_radius, fftp_search, verify_parallel_signatures
+from .convexity import (ac_profile, check_fftp_arguments, fftp_radius, fftp_search,
+                         verify_parallel_signatures)
 from .hnn import HnnSpec, normal_form, stable_letter_signature, verify_isometric
 from .presets import UnknownPresetError, preset
 from .specfile import SpecFileError, load_spec_text
@@ -33,8 +34,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--mem-cap", type=int, default=None,
                    help="element cap for ball builds (env HNNKIT_MEM_CAP)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for parallel engines")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -73,6 +72,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-unreduced", action="store_true",
                    help="also test words that are not freely reduced")
     p.add_argument("--format", default="table", choices=["json", "table"])
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for the exhaustive search")
     _add_common(p)
 
     p = sub.add_parser("verify-isometric", help="strip-equidistant and geodesic checks")
@@ -226,6 +227,7 @@ def _parse_mode(text: str):
 def cmd_fftp(args) -> int:
     group, label = _load_group(args)
     mode, count, seed = _parse_mode(args.mode)
+    check_fftp_arguments(args.max_len, args.k_cap, mode, count)
     ball = build_ball(group, fftp_radius(args.max_len, args.k_cap), mem_cap=args.mem_cap,
                       progress=_progress("ball"))
     report = fftp_search(
@@ -307,10 +309,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         rc = _COMMANDS[args.command](args)
-    except BallCapError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 2
-    except OutOfBallError as exc:
+    except (BallCapError, OutOfBallError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
     except (UnknownPresetError, SpecFileError, WordParseError, ValueError, OSError) as exc:

@@ -4,7 +4,10 @@ Both engines run over a BallIndex and report exact, reproducible results.
 
 The almost-convexity profiler enumerates every pair of same-sphere elements
 at distance at most 2 (via one- and two-letter products, never all pairs)
-and measures the shortest connecting path that stays inside the ball.
+and measures the shortest connecting path that stays inside the ball.  Per
+sphere S(N) it maps near pairs, which gamma (a shortest word between the
+two) joins inside B(N), and far pairs, whose midpoints all lie on S(N+1)
+and whose inside path comes from a BFS; every path is walked again.
 
 The FFTP searcher works in relative coordinates: while scanning a word w and
 a candidate companion v in lockstep, the only thing that matters is the
@@ -172,80 +175,57 @@ def _inside_bfs(ball: BallIndex, n: int, start: int, goal: int) -> list[int]:
 
 def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
     """Almost-convexity constants C(N) for N <= n_max, with witness pairs."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if ball.radius < n_max + 1:
         raise OutOfBallError(n_max + 1, ball.radius)
-    oracle = ball.oracle
     dist = ball.dist
     trans = ball.trans
-    by_dist: dict[int, list[int]] = {}
-    for eid, d in enumerate(dist):
-        by_dist.setdefault(d, []).append(eid)
     report = AcReport(n_max)
     for n in range(1, n_max + 1):
-        sphere = by_dist.get(n, [])
-        pair_info: dict[tuple[int, int], dict] = {}
-        adjacency: set[tuple[int, int]] = set()
-        for g in sphere:
-            for lid, m in enumerate(trans[g]):
-                if m != g and dist[m] == n and m > g and (g, m) not in pair_info:
-                    pair_info[(g, m)] = {"d": 1, "gamma": (lid,), "inside": (lid,)}
-                    adjacency.add((g, m))
-        # distance-2 pairs through a midpoint inside the ball
-        for g in sphere:
-            for l1, m in enumerate(trans[g]):
-                if dist[m] > n:
-                    continue
-                for l2, h in enumerate(trans[m]):
-                    if h <= g or dist[h] != n or (g, h) in adjacency:
-                        continue
-                    info = pair_info.setdefault(
-                        (g, h), {"d": 2, "gamma": (l1, l2), "inside": None}
-                    )
-                    if info["inside"] is None:
-                        info["inside"] = (l1, l2)
-        # distance-2 pairs whose midpoints all sit on the next sphere; those
-        # come straight off the midpoints' predecessor links
-        for m in by_dist.get(n + 1, []):
+        # same-sphere pairs (g, h), g < h -> gamma; near: an edge, or two
+        # letters through a midpoint in B(n); far: the rest
+        near: dict[tuple[int, int], tuple[int, ...]] = {}
+        far: dict[tuple[int, int], tuple[int, ...]] = {}
+        for g in ball.sphere(n):
+            row = trans[g]
+            for lid, m in enumerate(row):
+                if m > g and dist[m] == n:
+                    near.setdefault((g, m), (lid,))
+            for l1, m in enumerate(row):
+                if dist[m] <= n:
+                    for l2, h in enumerate(trans[m]):
+                        if h > g and dist[h] == n:
+                            near.setdefault((g, h), (l1, l2))
+        # far pairs come straight off their midpoints' predecessor links
+        for m in ball.sphere(n + 1):
             links = ball.preds[m]
-            for a in range(len(links)):
-                g, l1 = links[a]
-                for b in range(len(links)):
-                    h, l2 = links[b]
-                    if h <= g or (g, h) in adjacency:
-                        continue
-                    pair_info.setdefault(
-                        (g, h), {"d": 2, "gamma": (l1, l2 ^ 1), "inside": None}
-                    )
-        c_n = 0
-        best = None
-        d1 = d2 = 0
-        for (g, h) in sorted(pair_info):
-            info = pair_info[(g, h)]
-            if info["d"] == 1:
-                d1 += 1
-            else:
-                d2 += 1
-            path = info["inside"]
-            if path is None:
-                path = tuple(_inside_bfs(ball, n, g, h))
-            # re-check the witness path really stays inside B(n)
-            v = g
-            for lid in path:
-                v = trans[v][lid]
-                if dist[v] > n:
-                    raise AssertionError("witness path leaves the ball")
-            if v != h:
-                raise AssertionError("witness path misses its endpoint")
-            if len(path) > c_n:
-                c_n = len(path)
-                best = (g, h, info["gamma"], path)
-        rec = AcRadiusRecord(n, c_n, d1, d2)
+            for g, l1 in links:
+                for h, l2 in links:
+                    if h > g and (g, h) not in near:
+                        far.setdefault((g, h), (l1, l2 ^ 1))
+        d1 = sum(len(gamma) == 1 for gamma in near.values())
+        rec = AcRadiusRecord(n, 0, d1, len(near) + len(far) - d1)
+        best = None  # (g, h, gamma, path) of the smallest pair with the longest path
+        for pairs, inside in ((near, None), (far, _inside_bfs)):
+            for (g, h), gamma in pairs.items():
+                path = gamma if inside is None else tuple(inside(ball, n, g, h))
+                # re-check the witness path really stays inside B(n)
+                v = g
+                for lid in path:
+                    v = trans[v][lid]
+                    if dist[v] > n:
+                        raise AssertionError("witness path leaves the ball")
+                if v != h:
+                    raise AssertionError("witness path misses its endpoint")
+                if len(path) > rec.c or len(path) == rec.c and (g, h) < best[:2]:
+                    rec.c = len(path)
+                    best = (g, h, gamma, path)
         if best is not None:
             g, h, gamma, path = best
-            rec.witness_g = ball.label(g)
-            rec.witness_h = ball.label(h)
-            rec.witness_gamma = format_word(Word(oracle.alphabet, gamma))
-            rec.witness_path = format_word(Word(oracle.alphabet, path))
+            rec.witness_g, rec.witness_h = ball.label(g), ball.label(h)
+            rec.witness_gamma = format_word(Word(ball.oracle.alphabet, gamma))
+            rec.witness_path = format_word(Word(ball.oracle.alphabet, path))
         report.records.append(rec)
     return report
 
@@ -325,6 +305,17 @@ def fftp_radius(max_len: int, k_cap: int) -> int:
     return max(max_len, k_cap + 2)
 
 
+def check_fftp_arguments(max_len: int, k_cap: int, mode: str, sample_count: int) -> None:
+    """Raise ValueError for arguments fftp_search rejects, before any ball is built."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("max_len", max_len), ("k_cap", k_cap), ("sample_count", sample_count)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if mode == "sampled" and max_len < 1:
+        raise ValueError("sampled mode needs max_len >= 1")
+
+
 class _FftpContext:
     """Shared tables for the relative-coordinate DP (fork-shared by workers).
 
@@ -348,7 +339,7 @@ class _FftpContext:
         # left translates l*g, read only for |g| <= k_cap + 1 (a state plus a
         # letter).  For a predecessor link (p, y) of g, l*g = (l*p)*y with
         # |l*p| <= |g| < radius, so the row exists and l*g is in the ball.
-        n_read = sum(ball.sphere_sizes[:k_cap + 2])
+        n_read = ball.sphere(k_cap + 1).stop
         preds = ball.preds
         self.lefts = []
         for lid in range(self.n_letters):
@@ -536,13 +527,7 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
     maximum of these minima; words with no companion within k_cap are
     reported as unresolved, never dropped.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    for name, value in (("max_len", max_len), ("k_cap", k_cap), ("sample_count", sample_count)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if mode == "sampled" and max_len < 1:
-        raise ValueError("sampled mode needs max_len >= 1")
+    check_fftp_arguments(max_len, k_cap, mode, sample_count)
     ctx = _FftpContext(ball, max_len, k_cap, not include_unreduced)
     if mode == "exhaustive":
         tasks = list(range(ctx.n_letters)) if max_len > 0 else []

@@ -211,6 +211,10 @@ def build_from_ast(ast: SpecAst, name: str = "") -> Union[HnnSpec, BaseGroupOrac
         else:
             u_sub = stallings_subgroup(base, u_words)
             v_sub = stallings_subgroup(base, v_words)
+            for side, sub in (("u", u_sub), ("v", v_sub)):
+                if sub.rank != len(sub.generator_words):
+                    raise SpecFileError(f"stable {st.name}: the {side} words are not a free "
+                                        f"basis (they generate a subgroup of rank {sub.rank})")
         pairs.append(AssociatedPair(u_sub, v_sub))
     return HnnSpec(base, [st.name for st in ast.stables], pairs, name=name)
 

@@ -184,6 +184,9 @@ class StallingsSubgroup(SubgroupOracle):
         self.depth_cap = depth_cap
         self._build()
         self._fold()
+        alive = [e for e in self.edges if e[4]]
+        # rank of the subgroup: E - V + 1 of the folded (connected) graph
+        self.rank = len(alive) - len({e[0] for e in alive} | {e[2] for e in alive}) + 1
         self._index()
         self._core_reps()
         self._rewrite_cache: dict = {}
@@ -258,6 +261,8 @@ class StallingsSubgroup(SubgroupOracle):
                     # c_{tail_e} * c_{tail_f}^-1 = g_e * g_f^-1
                     delta = _sw_reduce(ee[3] + _sw_invert(ff[3]))
                     keep, merge = ee[0], ff[0]
+                if merge == 0:  # the base vertex stays: merge the other way
+                    keep, merge, delta = merge, keep, _sw_invert(delta)
                 if keep != merge:
                     work.extend(self._merge_vertex(keep, merge, delta))
                     work.append(v)

@@ -47,6 +47,17 @@ def test_sphere_additivity(z2_abcd_ball9, g2_ball7):
         assert sum(ball.sphere_sizes) == len(ball)
 
 
+def test_sphere_ranges(z2_abcd_ball9, g2_ball7):
+    for ball in (z2_abcd_ball9, g2_ball7):
+        ids = [eid for n in range(ball.radius + 1) for eid in ball.sphere(n)]
+        assert ids == list(range(len(ball)))
+        for n in range(ball.radius + 1):
+            assert len(ball.sphere(n)) == ball.sphere_sizes[n]
+            assert all(ball.dist[eid] == n for eid in ball.sphere(n))
+        with pytest.raises(OutOfBallError):
+            ball.sphere(ball.radius + 1)
+
+
 def test_predecessor_completeness(z2_abcd, z2_abcd_ball9):
     ball = z2_abcd_ball9
     for eid in range(len(ball)):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hnnkit.cli import main
 
 BROKEN = """
@@ -98,11 +100,33 @@ def test_fftp_rejects_bad_arguments(capsys):
         (("--max-len", "0", "--mode", "sampled:3:1"), "sampled mode needs max_len >= 1"),
         (("--max-len", "3", "--k-cap", "-1"), "k_cap must be >= 0"),
         (("--max-len", "-2"), "max_len must be >= 0"),
+        # checked before the ball is built, so the cap is never reached
+        (("--max-len", "-2", "--k-cap", "40", "--mem-cap", "1000"), "max_len must be >= 0"),
     ):
         rc, out, err = run(capsys, "fftp", "--preset", "z2_ab", "--jobs", "1", *args)
         assert rc == 2
         assert out == ""
         assert f"error: {message}" in err
+
+
+def test_ac_rejects_negative_radius(capsys):
+    rc, out, err = run(capsys, "ac", "--preset", "z2_ab", "-N", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "error: n_max must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--preset", "z2_ab", "-N", "2"],
+    ["ac", "--preset", "z2_ab", "-N", "2"],
+    ["verify-isometric", "--preset", "g2", "--max-len", "2"],
+    ["signatures", "--preset", "wise", "-N", "2"],
+])
+def test_jobs_is_an_fftp_option_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_verify_isometric_pass_and_fail(capsys, tmp_path):

@@ -365,6 +365,61 @@ def test_ac_profile_against_naive_all_pairs(z2_abcd, z2_abcd_ball9, wise):
     assert {r.radius: r.c for r in report_w.records} == naive_w
 
 
+# whole ac_profile reports pinned from an earlier version, one row per record:
+# group -> (ball radius, n_max, max_c, records)
+AC_KEYS = ("N", "C", "pairs_d1", "pairs_d2", "witness_g", "witness_h", "witness_gamma",
+           "witness_path")
+AC_REPORTS = {
+    "z2_abcd": (9, 8, 2, [
+        (1, 2, 9, 19, "a", "a'", "a'a'", "a'a'"),
+        (2, 2, 20, 42, "aa", "ad", "a'd", "a'd"),
+        (3, 2, 32, 52, "aaa", "aad", "a'd", "a'd"),
+        (4, 2, 44, 66, "aaaa", "aaad", "a'd", "a'd"),
+        (5, 2, 56, 82, "aaaaa", "aaaad", "a'd", "a'd"),
+        (6, 2, 68, 98, "aaaaaa", "aaaaad", "a'd", "a'd"),
+        (7, 2, 80, 114, "aaaaaaa", "aaaaaad", "a'd", "a'd"),
+        (8, 2, 92, 130, "aaaaaaaa", "aaaaaaad", "a'd", "a'd"),
+    ]),
+    "f2": (7, 6, 2, [
+        (1, 2, 0, 6, "a", "a'", "a'a'", "a'a'"),
+        (2, 2, 0, 12, "aa", "ab", "a'b", "a'b"),
+        (3, 2, 0, 36, "aaa", "aab", "a'b", "a'b"),
+        (4, 2, 0, 108, "aaaa", "aaab", "a'b", "a'b"),
+        (5, 2, 0, 324, "aaaaa", "aaaab", "a'b", "a'b"),
+        (6, 2, 0, 972, "aaaaaa", "aaaaab", "a'b", "a'b"),
+    ]),
+    "g2": (7, 6, 6, [
+        (1, 2, 0, 15, "a", "a'", "a'a'", "a'a'"),
+        (2, 4, 0, 66, "aa", "sb", "sb'", "a'a'sb"),
+        (3, 6, 0, 332, "aba", "s'bb", "s'b'", "a'b'a's'bb"),
+        (4, 6, 0, 1572, "aaba", "as'bb", "s'b'", "a'b'a's'bb"),
+        (5, 6, 0, 7432, "aaaas", "sbsab", "sa'", "b'b'b'sab"),
+        (6, 6, 0, 35092, "aaaaas", "asbsab", "sa'", "b'b'b'sab"),
+    ]),
+    "wise": (6, 5, 4, [
+        (1, 2, 9, 57, "a", "a'", "a'a'", "a'a'"),
+        (2, 2, 62, 426, "aa", "ad", "a'd", "a'd"),
+        (3, 2, 492, 2924, "aaa", "aad", "a'd", "a'd"),
+        (4, 3, 3348, 19686, "aats'", "dts'd'", "b'b'", "aad'"),
+        (5, 4, 23304, 134402, "aats't", "dts'd't", "d'd'", "t'b'b't"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AC_REPORTS))
+def test_ac_profile_whole_reports(name, request):
+    radius, n_max, max_c, rows = AC_REPORTS[name]
+    report = ac_profile(build_ball(request.getfixturevalue(name), radius), n_max)
+    assert report.to_dict() == {
+        "n_max": n_max, "max_c": max_c, "records": [dict(zip(AC_KEYS, row)) for row in rows],
+    }
+
+
+def test_ac_profile_rejects_negative_radius(z2_ab):
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        ac_profile(build_ball(z2_ab, 1), -1)
+
+
 def test_cross_engine_abelian_bound(z2_ab_ball9, z2_abcd_ball9):
     # abelian groups satisfy the fellow-traveler property; the almost-convexity
     # constant is then at most 3k

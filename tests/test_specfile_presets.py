@@ -105,3 +105,26 @@ stable s {
 """
     with pytest.raises(SpecFileError):
         build_from_ast(parse_spec_text(text))
+
+
+@pytest.mark.parametrize("u,v,side,rank", [
+    # <a, aa> = <a>: the relator s'aasa' would normalize to bba', not 1
+    ("a, aa", "b, a", "u", 1),
+    ("ab, ba, abba", "a, b, aba", "u", 2),
+    ("aa, ab, bb", "ab, ba, abba", "v", 2),
+])
+def test_non_basis_generator_lists_rejected(u, v, side, rank):
+    text = f"""
+base {{
+  kind = free
+  generators = a b
+}}
+stable s {{
+  u = [{u}]
+  v = [{v}]
+}}
+"""
+    with pytest.raises(SpecFileError,
+                       match=f"stable s: the {side} words are not a free basis "
+                             rf"\(they generate a subgroup of rank {rank}\)"):
+        build_from_ast(parse_spec_text(text))

@@ -101,6 +101,26 @@ def test_stallings_folded_determinism(f2):
         assert sub.is_folded()
 
 
+def test_stallings_rank(f2):
+    p = lambda s: parse_word(f2.alphabet, s)
+    for gens, rank in ((["aa", "bbb"], 2), (["a", "aa"], 1), (["ab", "ba", "abba"], 2),
+                       (["aba'"], 1), (["b", "aab", "bab'"], 2)):
+        assert stallings_subgroup(f2, [p(t) for t in gens]).rank == rank
+
+
+@pytest.mark.parametrize("gens", [["ab'", "a"], ["ab", "a"], ["ba", "a"]])
+def test_stallings_keeps_its_base_vertex(f2, gens):
+    # each list generates F2, and its fold meets two equal labels at a vertex
+    # where the later edge ends at the base vertex, which must survive the merge
+    p = lambda s: parse_word(f2.alphabet, s)
+    sub = stallings_subgroup(f2, [p(t) for t in gens])
+    for word in enumerate_words(f2.alphabet, 4):
+        key = f2.evaluate(word)
+        sw = sub.membership_with_rewrite(key)
+        assert sw is not None and f2.evaluate(sub.expand(sw)) == key
+        assert sub.coset_rep(key) == ()
+
+
 def test_stallings_rewrite_soundness_exhaustive(f2):
     # every member in the radius-6 ball rewrites to a SubgroupWord that
     # expands back to the same element

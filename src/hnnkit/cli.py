@@ -185,6 +185,8 @@ def cmd_ball(args) -> int:
 
 def cmd_ac(args) -> int:
     group, label = _load_group(args)
+    if args.fftp_k is not None and args.fftp_k < 0:
+        raise ValueError(f"--fftp-k must be >= 0, got {args.fftp_k}")
     ball = build_ball(group, args.N + 1, mem_cap=args.mem_cap, progress=_progress("ball"))
     report = ac_profile(ball, args.N)
     header = _header("ac", label, {"N": args.N})
@@ -227,7 +229,7 @@ def _parse_mode(text: str):
 def cmd_fftp(args) -> int:
     group, label = _load_group(args)
     mode, count, seed = _parse_mode(args.mode)
-    check_fftp_arguments(args.max_len, args.k_cap, mode, count)
+    check_fftp_arguments(args.max_len, args.k_cap, mode, count, args.jobs)
     ball = build_ball(group, fftp_radius(args.max_len, args.k_cap), mem_cap=args.mem_cap,
                       progress=_progress("ball"))
     report = fftp_search(

@@ -17,17 +17,18 @@ lookup for the companion letter and one for the inverse of w's letter, and
 the synchronous fellow-traveling distance is the running maximum of the
 state's distance.  Both tables come from the ball alone: the right
 transitions are its rows, and the left translates are walked along its
-predecessor links, with no oracle call.  Per word, the minimum over
-companions is a layered dynamic program with one layer step (extend_dp).
-A layer is a dict from state to cost in ascending state order, and only a
-few hundred distinct layers ever occur, so each is interned as a small int
-and the step is memoized per (layer, letter, cap): over all words of
-bounded length the prefix trie holds layer ids, and extend_dp runs once per
-distinct step, not once per trie node.  A word's chain of states
-w(t)^-1 w(n) is read lazily from its end, one left translate per level,
-until its running maximum rules out every earlier level.  Sampled words and
-the witness companions use the same layers, a companion being read back
-from them.
+predecessor links, with no oracle call.  A layer maps states to costs:
+the moving layer M holds companions still advancing, the resting layer R
+those that ended earlier and wait at their endpoint, and one step
+(extend_dp) advances either.  The pair (M, R) depends on the word's prefix
+alone, so it is the state of a finite automaton: layers are interned as
+small ints, the step is memoized, and words are counted per (state, last
+letter) one length at a time, not visited.  A word's minimum is R_n(0).
+Caps are tried in increasing order, and the first that leaves no word
+unresolved gives exact tallies, since a cap only drops costs above itself.
+Neumann and Shapiro show that FFTP makes the geodesics a regular language
+with states in a bounded ball; a closed automaton (a length that adds no
+new state) is evidence of that at the lengths run, not a proof of FFTP.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ from typing import Optional
 
 from . import parallel
 from .cayley import BallIndex, OutOfBallError, build_ball
-from .words import Word, format_word
+from .words import Word, enumerate_words, format_word
 
 INF = float("inf")
-# fftp first scores every word with its DP layers capped here, and rebuilds
-# them at k_cap only for words whose minimum exceeds it
-_INITIAL_CAP = 3
 
 
 def fellow_distance(ball: BallIndex, w1: Word, w2: Word) -> int:
@@ -305,29 +303,30 @@ def fftp_radius(max_len: int, k_cap: int) -> int:
     return max(max_len, k_cap + 2)
 
 
-def check_fftp_arguments(max_len: int, k_cap: int, mode: str, sample_count: int) -> None:
+def check_fftp_arguments(max_len: int, k_cap: int, mode: str, sample_count: int,
+                         jobs: int) -> None:
     """Raise ValueError for arguments fftp_search rejects, before any ball is built."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    for name, value in (("max_len", max_len), ("k_cap", k_cap), ("sample_count", sample_count)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    for name, value, least in (("max_len", max_len, 0), ("k_cap", k_cap, 0),
+                               ("sample_count", sample_count, 0), ("jobs", jobs, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if mode == "sampled" and max_len < 1:
         raise ValueError("sampled mode needs max_len >= 1")
 
 
 class _FftpContext:
-    """Shared tables for the relative-coordinate DP (fork-shared by workers).
+    """Shared tables of the fftp layer automaton (fork-shared by workers).
 
-    A DP layer is interned as a small int: layer 0 is {0: 0}, and step()
-    computes each (layer, letter, cap) transition once.  Forked workers fill
-    their own copies of the tables.
+    Layers are interned as small ints, an automaton state is a pair of layer
+    ids (moving M, resting R), and step() computes each transition once.
+    Forked workers fill their own copies of the tables.
     """
 
     def __init__(self, ball: BallIndex, max_len: int, k_cap: int, reduced_only: bool):
         self.max_len = max_len
         self.k_cap = k_cap
-        self.initial_cap = min(_INITIAL_CAP, k_cap)
         self.reduced_only = reduced_only
         self.n_letters = ball.oracle.alphabet.n_letters
         radius = fftp_radius(max_len, k_cap)
@@ -348,24 +347,30 @@ class _FftpContext:
                 p, y = preds[g][0]
                 col.append(trans[col[p]][y])
             self.lefts.append(col)
-        self.layer_dp: list[dict] = [{0: 0}]  # layer id -> layer
-        self._layer_ids: dict[tuple, int] = {((0,), (0,)): 0}  # (states, costs) -> layer id
-        self._steps: dict[tuple[int, int, int], int] = {}  # (layer, letter, cap) -> layer
+        self.layer_dp: list[dict] = []  # layer id -> layer
+        self._layer_ids: dict[tuple, int] = {}  # (states, costs) -> layer id
+        self._steps: dict[tuple, tuple[int, int]] = {}  # (state, letter, cap) -> state
+        self.start = (self._intern({0: 0}), self._intern({}))
 
-    def extend_dp(self, dp: dict, x: int, cap: int) -> dict:
-        """One layer: the scanned word advances by letter x, companions by any letter.
+    def _intern(self, dp: dict) -> int:
+        lid = self._layer_ids.setdefault((tuple(dp), tuple(dp.values())), len(self.layer_dp))
+        if lid == len(self.layer_dp):
+            self.layer_dp.append(dp)
+        return lid
 
-        The result is in ascending state order, so equal layers are equal
-        item for item.
+    def extend_dp(self, items, x: int, cap: int, moving: bool) -> dict:
+        """One layer: the scanned word advances by letter x.
+
+        items are (state, cost) pairs; their companions move by any letter
+        if moving, else rest in place.  The result is in ascending state
+        order, so equal layers are equal item for item.
         """
         out: dict[int, int] = {}
         left_xinv = self.lefts[x ^ 1]
         rel_dist = self.rel_dist
-        rel_trans = self.rel_trans
-        for r, c in dp.items():
-            row = rel_trans[r]
-            for y in range(self.n_letters):
-                r2 = left_xinv[row[y]]
+        for r, c in items:
+            for t in (self.rel_trans[r] if moving else (r,)):
+                r2 = left_xinv[t]
                 d = rel_dist[r2]
                 c2 = c if c >= d else d
                 if c2 <= cap:
@@ -374,71 +379,51 @@ class _FftpContext:
                         out[r2] = c2
         return dict(sorted(out.items()))
 
-    def step(self, layer: int, x: int, cap: int) -> int:
-        """The id of extend_dp(layer, x, cap), computed once per key."""
-        key = (layer, x, cap)
-        nxt = self._steps.get(key)
+    def step(self, state: tuple[int, int], x: int, cap: int) -> tuple[int, int]:
+        """(M, R) after letter x: M' = extend_dp(M, x), R' = x^-1 (R u M), once per key."""
+        nxt = self._steps.get((state, x, cap))
         if nxt is None:
-            dp = self.extend_dp(self.layer_dp[layer], x, cap)
-            nxt = self._layer_ids.setdefault((tuple(dp), tuple(dp.values())),
-                                             len(self.layer_dp))
-            if nxt == len(self.layer_dp):
-                self.layer_dp.append(dp)
-            self._steps[key] = nxt
+            m, r = state
+            moving = self.layer_dp[m].items()
+            # M' depends on M alone, so it is keyed by M's id
+            moved = self._steps.get((m, x, cap))
+            if moved is None:
+                moved = self._steps[m, x, cap] = self._intern(self.extend_dp(moving, x, cap, True))
+            rested = self.extend_dp([*self.layer_dp[r].items(), *moving], x, cap, False)
+            nxt = self._steps[state, x, cap] = (moved, self._intern(rested))
         return nxt
 
-    def layers(self, ids: tuple[int, ...], cap: int) -> list[int]:
-        """The layer ids of levels 0 .. len(ids) - 1 at the given cap."""
-        out = [0]
+    def word_min(self, state: tuple[int, int], x: int):
+        """R_n(0) of a word, prefix at state, ending in x: the least cost of x in M or R."""
+        e = self.rel_trans[0][x]
+        return min(self.layer_dp[i].get(e, INF) for i in state)
+
+    def states(self, ids: tuple[int, ...], cap: int) -> list[tuple[int, int]]:
+        """The states of levels 0 .. len(ids) - 1 at the given cap."""
+        out = [self.start]
         for x in ids[:-1]:
             out.append(self.step(out[-1], x, cap))
         return out
 
-    def best_end(self, layers: list[int], ids: tuple[int, ...], cap: int):
-        """(min fellow distance, end level, chain state there), or (INF, -1, 0).
-
-        The chain state at level t is w(t)^-1 * w(n) = ids[t] * (state at
-        t + 1), read from the word's end.  A companion ending at level t
-        rests at w's endpoint, so its cost is its layer cost raised to the
-        largest distance on the chain from t on.  The walk stops once that
-        tail exceeds the best cost so far or the cap, since no earlier level
-        can then do better; a minimum above the cap comes back as INF.
-        """
-        rel_dist = self.rel_dist
-        lefts = self.lefts
-        layer_dp = self.layer_dp
-        best, best_at, best_r = INF, -1, 0
-        limit, tail, r = cap, 0, 0
-        for level in range(len(layers) - 1, -1, -1):
-            r = lefts[ids[level]][r]
-            d = rel_dist[r]
-            if d > tail:
-                if d > limit:
-                    break
-                tail = d
-            c = layer_dp[layers[level]].get(r)
-            if c is not None:
-                if c < tail:
-                    c = tail
-                if c <= limit:
-                    best = limit = c
-                    best_at, best_r = level, r
-        return best, best_at, best_r
-
     def companion(self, ids: tuple[int, ...], cap: int):
         """(min fellow distance, companion letter ids) for a non-geodesic word."""
-        layers = self.layers(ids, cap)
-        best, end, r = self.best_end(layers, ids, cap)
-        if end < 0:
+        states = self.states(ids, cap)
+        best = self.word_min(states[-1], ids[-1])
+        if best > cap:
             return INF, ()
-        # walk back: at each level take the first (state, letter) of the
+        # walk R back while an earlier end attains the same cost, so the
+        # companion ends at the first level that can
+        end, r = len(ids) - 1, self.lefts[ids[-1]][0]
+        while self.layer_dp[states[end][1]].get(r, INF) <= best:
+            end, r = end - 1, self.lefts[ids[end - 1]][r]
+        # walk M back: at each level take the first (state, letter) of the
         # previous layer, in scan order, that reaches the current state at
         # its stored cost, which is the choice extend_dp's scan keeps
         v: list[int] = []
         for level in range(end, 0, -1):
-            c, d = self.layer_dp[layers[level]][r], self.rel_dist[r]
+            c, d = self.layer_dp[states[level][0]][r], self.rel_dist[r]
             left_xinv = self.lefts[ids[level - 1] ^ 1]
-            r, y = next((p, y) for p, cp in self.layer_dp[layers[level - 1]].items()
+            r, y = next((p, y) for p, cp in self.layer_dp[states[level - 1][0]].items()
                         for y, t in enumerate(self.rel_trans[p])
                         if left_xinv[t] == r and (cp if cp >= d else d) == c)
             v.append(y)
@@ -450,54 +435,94 @@ def _new_partial() -> dict:
     return {"total": 0, "geodesic": 0, "hist": {}, "witness": {}, "unresolved": []}
 
 
-def _score_word(ctx: _FftpContext, ids: tuple[int, ...], end: int,
-                layers: list[int], partial: dict):
-    """Count the word; score it if non-geodesic, from its layers at the initial cap.
-
-    end is the ball id of the word's endpoint.
-    """
-    partial["total"] += 1
-    if ctx.rel_dist[end] == len(ids):
-        partial["geodesic"] += 1
-        return
-    best, _, _ = ctx.best_end(layers, ids, ctx.initial_cap)
-    if best > ctx.initial_cap:
-        best, _, _ = ctx.best_end(ctx.layers(ids, ctx.k_cap), ids, ctx.k_cap)
-    if best > ctx.k_cap:
-        partial["unresolved"].append(ids)
-        return
-    m = int(best)
-    partial["hist"][m] = partial["hist"].get(m, 0) + 1
+def _tally(partial: dict, m: int, count: int, ids: tuple[int, ...]) -> None:
+    """Add count words of minimum m, ids the shortlex least of them."""
+    partial["hist"][m] = partial["hist"].get(m, 0) + count
     cur = partial["witness"].get(m)
     if cur is None or (len(ids), ids) < (len(cur), cur):
         partial["witness"][m] = ids
 
 
-def _dfs_subtree(ctx: _FftpContext, first: int) -> dict:
-    partial = _new_partial()
-    n_letters = ctx.n_letters
-    max_len = ctx.max_len
-    rel_trans = ctx.rel_trans
+def _geodesic_counts(ball: BallIndex, first: int, max_len: int) -> list[int]:
+    """Geodesic words beginning with letter first, per length 0 .. max_len."""
+    counts = [0] * ball.sphere(max_len).stop
+    for g in range(1, len(counts)):  # BFS order: predecessors come first
+        counts[g] = sum(counts[p] if p else y == first for p, y in ball.preds[g])
+    return [sum(counts[g] for g in ball.sphere(n)) for n in range(max_len + 1)]
 
-    def visit(ids: tuple[int, ...], end: int, dstack: list[int]):
-        _score_word(ctx, ids, end, dstack, partial)
-        if len(ids) == max_len:
-            return
-        last = ids[-1]
-        dstack.append(ctx.step(dstack[-1], last, ctx.initial_cap))
-        row = rel_trans[end]
-        for lid in range(n_letters):
-            if ctx.reduced_only and lid == last ^ 1:
-                continue
-            visit(ids + (lid,), row[lid], dstack)
-        dstack.pop()
 
-    visit((first,), rel_trans[0][first], [0])
-    return partial
+def _count_subtree(ctx: _FftpContext, first: int, cap: int, geodesic: list[int]):
+    """(tallies, missing) of the words beginning with letter first, at one cap.
+
+    A bucket holds the count and the least word of one (state, last letter).
+    missing counts the non-geodesic words with no companion within cap;
+    below k_cap the count stops at the first length that has any.
+    """
+    partial = dict(_new_partial(), geodesic=sum(geodesic))
+    buckets = {(ctx.start, first): (1, (first,))}
+    missing = 0
+    for n in range(1, ctx.max_len + 1):
+        if n > 1:
+            nxt: dict = {}
+            for (state, last), (count, ids) in buckets.items():
+                after = ctx.step(state, last, cap)
+                for y in range(ctx.n_letters):
+                    if ctx.reduced_only and y == last ^ 1:
+                        continue
+                    # buckets stay in the order of their least words, so the
+                    # first word to reach a bucket is its least
+                    had = nxt.get((after, y))
+                    nxt[after, y] = (had[0] + count, had[1]) if had else (count, ids + (y,))
+            buckets = nxt
+        missing -= geodesic[n]  # geodesic words have no companion at any cap
+        for (state, last), (count, ids) in buckets.items():
+            partial["total"] += count
+            m = ctx.word_min(state, last)
+            if m == INF:
+                missing += count
+            else:
+                _tally(partial, m, count, ids)
+        if missing and cap < ctx.k_cap:
+            break
+    return partial, missing
 
 
 def _fftp_worker(first: int) -> dict:
-    return _dfs_subtree(parallel.get_context(), first)
+    """The tallies of one first letter at the least cap that resolves every word.
+
+    If k_cap leaves words unresolved, each word is scored, so they can be listed.
+    """
+    ctx = parallel.get_context()
+    geodesic = _geodesic_counts(ctx.rel, first, ctx.max_len)
+    for cap in range(ctx.k_cap + 1):
+        partial, missing = _count_subtree(ctx, first, cap, geodesic)
+        if not missing:
+            return partial
+    tails = enumerate_words(ctx.rel.oracle.alphabet, ctx.max_len - 1, ctx.reduced_only)
+    return _score_words(ctx, ((first,) + w.ids for w in tails
+                              if not (ctx.reduced_only and w.ids[:1] == (first ^ 1,))))
+
+
+def _score_words(ctx: _FftpContext, words) -> dict:
+    """The tallies of the given words, each scored on its own by the same cap ladder."""
+    partial = _new_partial()
+    for ids in words:
+        partial["total"] += 1
+        end = 0
+        for x in ids:
+            end = ctx.rel_trans[end][x]
+        if ctx.rel_dist[end] == len(ids):
+            partial["geodesic"] += 1
+            continue
+        for cap in range(ctx.k_cap + 1):
+            m = ctx.word_min(ctx.states(ids, cap)[-1], ids[-1])
+            if m <= cap:
+                break
+        if m == INF:
+            partial["unresolved"].append(ids)
+        else:
+            _tally(partial, m, 1, ids)
+    return partial
 
 
 def _merge_partials(parts: list[dict]) -> dict:
@@ -506,11 +531,7 @@ def _merge_partials(parts: list[dict]) -> dict:
         total["total"] += p["total"]
         total["geodesic"] += p["geodesic"]
         for m, c in p["hist"].items():
-            total["hist"][m] = total["hist"].get(m, 0) + c
-        for m, w in p["witness"].items():
-            cur = total["witness"].get(m)
-            if cur is None or (len(w), w) < (len(cur), cur):
-                total["witness"][m] = w
+            _tally(total, m, c, p["witness"][m])
         total["unresolved"].extend(p["unresolved"])
     total["unresolved"].sort(key=lambda ids: (len(ids), ids))
     return total
@@ -527,29 +548,23 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
     maximum of these minima; words with no companion within k_cap are
     reported as unresolved, never dropped.
     """
-    check_fftp_arguments(max_len, k_cap, mode, sample_count)
+    check_fftp_arguments(max_len, k_cap, mode, sample_count, jobs)
     ctx = _FftpContext(ball, max_len, k_cap, not include_unreduced)
     if mode == "exhaustive":
         tasks = list(range(ctx.n_letters)) if max_len > 0 else []
-        parts = parallel.run_tasks(_fftp_worker, tasks, ctx, jobs)
-        merged = _merge_partials(parts)
+        merged = _merge_partials(parallel.run_tasks(_fftp_worker, tasks, ctx, jobs))
     else:
         rng = random.Random(seed)
-        merged = _new_partial()
+        words = []
         for _ in range(sample_count):
-            n = rng.randint(1, max_len)
             ids: list[int] = []
-            end = 0
-            for _ in range(n):
-                while True:
+            for _ in range(rng.randint(1, max_len)):
+                lid = rng.randrange(ctx.n_letters)
+                while not include_unreduced and ids and lid == ids[-1] ^ 1:
                     lid = rng.randrange(ctx.n_letters)
-                    if include_unreduced or not ids or lid != ids[-1] ^ 1:
-                        break
                 ids.append(lid)
-                end = ctx.rel_trans[end][lid]
-            ids_t = tuple(ids)
-            _score_word(ctx, ids_t, end, ctx.layers(ids_t, ctx.initial_cap), merged)
-        merged["unresolved"].sort(key=lambda ids: (len(ids), ids))
+            words.append(tuple(ids))
+        merged = _merge_partials([_score_words(ctx, words)])
 
     alphabet = ball.oracle.alphabet
     k_min = max(merged["hist"], default=0)
@@ -559,41 +574,25 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
         got, v_ids = ctx.companion(w_ids, k_cap)
         if got != m:
             raise AssertionError(f"witness re-derivation mismatch: {got} != {m}")
-        w_word = Word(alphabet, w_ids)
-        v_word = Word(alphabet, v_ids)
+        w_word, v_word = Word(alphabet, w_ids), Word(alphabet, v_ids)
         # independent re-verification of the recorded pair
         if not (len(v_word) < len(w_word)
                 and ball.oracle.evaluate(v_word) == ball.oracle.evaluate(w_word)
                 and fellow_distance(ctx.rel, w_word, v_word) == m):
             raise AssertionError(
                 f"witness {format_word(w_word)!r} ~ {format_word(v_word)!r} "
-                f"fails re-verification at fellow distance {m}"
-            )
-        witnesses.append(
-            {
-                "word": format_word(w_word),
-                "companion": format_word(v_word),
-                "fellow_distance": m,
-            }
-        )
+                f"fails re-verification at fellow distance {m}")
+        witnesses.append({"word": format_word(w_word), "companion": format_word(v_word),
+                          "fellow_distance": m})
     falsifiers = {}
     for k in range(1, k_min):
-        cands = [merged["witness"][m] for m in merged["witness"] if m > k]
-        best = min(cands, key=lambda ids: (len(ids), ids))
+        best = min((w for m, w in merged["witness"].items() if m > k), key=lambda w: (len(w), w))
         falsifiers[k] = format_word(Word(alphabet, best))
     unresolved = [format_word(Word(alphabet, ids)) for ids in merged["unresolved"]]
     return FftpReport(
-        k_min=k_min,
-        max_len=max_len,
-        k_cap=k_cap,
-        mode=mode,
-        total_words=merged["total"],
-        geodesic_words=merged["geodesic"],
-        histogram=merged["hist"],
-        witnesses=witnesses,
-        falsifiers=falsifiers,
-        unresolved=unresolved,
-        include_unreduced=include_unreduced,
+        k_min=k_min, max_len=max_len, k_cap=k_cap, mode=mode, total_words=merged["total"],
+        geodesic_words=merged["geodesic"], histogram=merged["hist"], witnesses=witnesses,
+        falsifiers=falsifiers, unresolved=unresolved, include_unreduced=include_unreduced,
         seed=seed if mode == "sampled" else None,
     )
 

@@ -61,7 +61,8 @@ class HnnSpec(BaseGroupOracle):
         self.n_base_letters = 2 * len(base_names)
         # base letter ids agree between the base alphabet and the full one
         for g, h in zip(base.alphabet.generators, self.alphabet.generators):
-            assert (g.name, g.index) == (h.name, h.index)
+            if (g.name, g.index) != (h.name, h.index):
+                raise AssertionError(f"base generator {g.name!r} changes its letter ids")
         self.relators = tuple(self._make_relators())
 
     def _make_relators(self) -> list[Word]:

@@ -102,6 +102,8 @@ def test_fftp_rejects_bad_arguments(capsys):
         (("--max-len", "-2"), "max_len must be >= 0"),
         # checked before the ball is built, so the cap is never reached
         (("--max-len", "-2", "--k-cap", "40", "--mem-cap", "1000"), "max_len must be >= 0"),
+        (("--max-len", "3", "--jobs", "0"), "jobs must be >= 1, got 0"),
+        (("--max-len", "3", "--jobs", "-4"), "jobs must be >= 1, got -4"),
     ):
         rc, out, err = run(capsys, "fftp", "--preset", "z2_ab", "--jobs", "1", *args)
         assert rc == 2
@@ -114,6 +116,16 @@ def test_ac_rejects_negative_radius(capsys):
     assert rc == 2
     assert out == ""
     assert "error: n_max must be >= 0" in err
+
+
+def test_ac_rejects_negative_fftp_k(capsys):
+    # a usage error, not a violated bound (exit 1), and found before the
+    # ball is built, so the memory cap is never reached
+    rc, out, err = run(capsys, "ac", "--preset", "z2_ab", "-N", "2", "--fftp-k", "-3",
+                       "--mem-cap", "1")
+    assert rc == 2
+    assert out == ""
+    assert "error: --fftp-k must be >= 0, got -3" in err
 
 
 @pytest.mark.parametrize("argv", [

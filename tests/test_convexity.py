@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import naive_z2_abcd_ball
+from hnnkit import parallel
 from hnnkit.cayley import OutOfBallError, build_ball
 import hnnkit.convexity as cx
 from hnnkit.convexity import (
@@ -16,7 +18,7 @@ from hnnkit.convexity import (
     fftp_search,
     verify_parallel_signatures,
 )
-from hnnkit.words import Word, parse_word
+from hnnkit.words import Word, enumerate_words, parse_word
 
 
 def test_fellow_distance_examples(z2_ab, z2_ab_ball9, z2_abcd, z2_abcd_ball9):
@@ -192,15 +194,18 @@ def test_fftp_layer_memo_matches_full_chain(name, k_cap, unreduced, request):
         for ids in _all_words(group.alphabet.n_letters, 4, not unreduced)[1:]:
             if ids[:-1] not in raw:
                 prev = raw[ids[:-2]]
-                raw[ids[:-1]] = prev + [ctx.extend_dp(prev[-1], ids[-2], cap)]
+                raw[ids[:-1]] = prev + [ctx.extend_dp(prev[-1].items(), ids[-2], cap, True)]
             dps = raw[ids[:-1]]
-            layers = ctx.layers(ids, cap)
-            assert [list(ctx.layer_dp[i].items()) for i in layers] == [
+            states = ctx.states(ids, cap)
+            # the moving layers are the raw chain, item for item
+            assert [list(ctx.layer_dp[m].items()) for m, _ in states] == [
                 list(dp.items()) for dp in dps]
-            want, want_at, chain = _full_chain_best_end(ctx, dps, ids)
-            got, got_at, state = ctx.best_end(layers, ids, cap)
-            if want <= cap or got <= cap:
-                assert (got, got_at, state) == (want, want_at, chain[want_at])
+            # R_n(0) is the full-chain minimum, dropped above the cap, and the
+            # companion ends at the first level that attains it
+            want, want_at, _ = _full_chain_best_end(ctx, dps, ids)
+            assert ctx.word_min(states[-1], ids[-1]) == (want if want <= cap else cx.INF)
+            if want <= cap:
+                assert len(ctx.companion(ids, cap)[1]) == want_at
 
 
 def test_fftp_jobs_and_sampled_determinism(z2_abcd, z2_abcd_ball9):
@@ -282,20 +287,86 @@ def test_fftp_on_hnn_extensions(name, unreduced, expected, request):
     assert report.to_dict() == expected
 
 
-@pytest.mark.parametrize("initial_cap", [0, 1])
+@pytest.mark.parametrize("low_cap", [0, 1])
 @pytest.mark.parametrize("name,max_len,unreduced", [("z2_abcd", 5, False), ("f2", 6, True)])
-def test_fftp_k_cap_fallback(name, max_len, unreduced, initial_cap, request, monkeypatch):
-    # every preset's per-word minima are <= 3, so only a lower initial cap
-    # sends words to the rebuild at k_cap
-    ball = build_ball(request.getfixturevalue(name), 0)
+def test_fftp_k_cap_fallback(name, max_len, unreduced, low_cap, request):
+    # per first letter, the first cap that resolves every word gives the
+    # tallies of a run at k_cap, and the cap below it resolves too few; a low
+    # cap leaves words unresolved exactly when it is below the largest minimum,
+    # and otherwise already gives those tallies
+    ctx = _FftpContext(build_ball(request.getfixturevalue(name), 0), max_len, 6, not unreduced)
+    letters = range(ctx.n_letters)
+    ladder = parallel.run_tasks(cx._fftp_worker, letters, ctx, 1)
+    for first, partial in zip(letters, ladder):
+        geodesic = cx._geodesic_counts(ctx.rel, first, max_len)
+        assert cx._count_subtree(ctx, first, 6, geodesic) == (partial, 0)
+        m = max(partial["hist"])
+        assert cx._count_subtree(ctx, first, m - 1, geodesic)[1] > 0
+        low, missing = cx._count_subtree(ctx, first, low_cap, geodesic)
+        assert (missing > 0) == (low_cap < m)
+        if not missing:
+            assert low == partial
 
-    def report():
-        got = fftp_search(ball, max_len=max_len, k_cap=6, include_unreduced=unreduced)
-        return json.dumps(got.to_dict(), sort_keys=True)
 
-    default = report()
-    monkeypatch.setattr(cx, "_INITIAL_CAP", initial_cap)
-    assert report() == default
+def test_fftp_bucket_words_are_least(z2_abcd, monkeypatch):
+    # a bucket's word, from which witnesses are taken, is the least word of
+    # its length that reaches the bucket's (state, last letter)
+    ctx = _FftpContext(build_ball(z2_abcd, 0), 5, 2, True)
+    least = {}
+    for w in enumerate_words(z2_abcd.alphabet, 5):  # shortlex: the first word is the least
+        if w.ids[:1] == (0,):
+            least.setdefault((len(w.ids), ctx.states(w.ids, 2)[-1], w.ids[-1]), w.ids)
+    tallied = []
+    monkeypatch.setattr(cx, "_tally", lambda partial, m, count, ids: tallied.append((count, ids)))
+    cx._count_subtree(ctx, 0, 2, cx._geodesic_counts(ctx.rel, 0, 5))
+    assert any(count > 1 for count, _ in tallied)
+    for _, ids in tallied:
+        assert ids == least[len(ids), ctx.states(ids, 2)[-1], ids[-1]]
+
+
+Z2_ABCD_FFTP_20 = {
+    "k_min": 2, "max_len": 20, "k_cap": 6, "mode": "exhaustive", "seed": None,
+    "include_unreduced": False, "total_words": 106389688396816000,
+    "geodesic_words": 171965080, "non_geodesic_words": 106389688224850920,
+    "histogram": {"1": 106389688157741196, "2": 67109724},
+    "witnesses": [
+        {"word": "ab", "companion": "c", "fellow_distance": 1},
+        {"word": "ad'a'", "companion": "d'", "fellow_distance": 2},
+    ],
+    "falsifiers": {"1": "ad'a'"}, "unresolved": [],
+}
+Z2_AB_FFTP_20 = {
+    "k_min": 2, "max_len": 20, "k_cap": 6, "mode": "exhaustive", "seed": None,
+    "include_unreduced": False, "total_words": 6973568800, "geodesic_words": 8388520,
+    "non_geodesic_words": 6965180280, "histogram": {"2": 6965180280},
+    "witnesses": [{"word": "aba'", "companion": "b", "fellow_distance": 2}],
+    "falsifiers": {"1": "aba'"}, "unresolved": [],
+}
+
+
+@pytest.mark.parametrize("name,expected", [("z2_abcd", Z2_ABCD_FFTP_20), ("z2_ab", Z2_AB_FFTP_20)])
+def test_fftp_length_20(name, expected, request):
+    # about 1e17 words on z2_abcd, counted over the automaton, not visited
+    start = time.perf_counter()
+    report = fftp_search(build_ball(request.getfixturevalue(name), 0), max_len=20, k_cap=6)
+    assert time.perf_counter() - start < 5
+    assert report.to_dict() == expected
+
+
+@pytest.mark.parametrize("name,max_len", [("z2_ab", 8), ("z2_abcd", 6)])
+def test_fftp_count_matches_per_word_scores(name, max_len, request):
+    # the automaton's counts against the per-word scorer over every word
+    group = request.getfixturevalue(name)
+    ctx = _FftpContext(build_ball(group, 0), max_len, 6, True)
+    letters = range(ctx.n_letters)
+    counted = cx._merge_partials(parallel.run_tasks(cx._fftp_worker, letters, ctx, 1))
+    words = [w.ids for w in enumerate_words(group.alphabet, max_len)][1:]
+    scored = cx._merge_partials([cx._score_words(ctx, words)])
+    assert counted == scored
+    assert scored["total"] == len(words) and scored["hist"]
+    # shortlex order: the witness of a minimum is the first word scored with it
+    for m, w in scored["witness"].items():
+        assert w == next(ids for ids in words if cx._score_words(ctx, [ids])["hist"] == {m: 1})
 
 
 def test_fftp_k_cap_unresolved_reporting(z2_abcd, z2_abcd_ball9):
@@ -467,6 +538,12 @@ if sys.argv[1] == "fftp":
 
     cx._FftpContext.companion = corrupt
     cx.fftp_search(build_ball(preset("z2_ab"), 4), max_len=4, k_cap=6)
+elif sys.argv[1] == "hnn":
+    import hnnkit.hnn as hnn
+    real = hnn.Alphabet.make
+    # the full alphabet lists the base generators in reverse, so their ids move
+    hnn.Alphabet.make = lambda base, stable=(): real(base[::-1] if stable else base, stable)
+    preset("g2")
 else:
     real = cx._inside_bfs
     cx._inside_bfs = lambda *args: real(*args)[:-1]  # path misses its endpoint
@@ -476,6 +553,7 @@ else:
 
 @pytest.mark.parametrize("engine,message", [
     ("fftp", "fails re-verification"), ("ac", "misses its endpoint"),
+    ("hnn", "changes its letter ids"),
 ])
 def test_self_checks_survive_optimize_flag(engine, message):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -41,6 +41,10 @@ print("\nwise sphere sizes to radius 3:", wball.sphere_sizes)
 s_key = wise.evaluate(parse_word(wise.alphabet, "s"))
 t_key = wise.evaluate(parse_word(wise.alphabet, "t"))
 print("d(s, t) in the extension:", distance(wball, s_key, t_key))
+# The ball keeps each element as one int code from a key table of its own;
+# normal-form keys go in (id_of) and come out (key) through that table.
+eid = wball.id_of(s_key)
+print(f"s is element {eid}, code {wball.codes[eid]}, key {wise.key_str(wball.key(eid))}")
 
 # Exports are byte-stable: same ball, same bytes, every run.
 csv_head = export_ball(build_ball(z2, 1), "csv").decode().splitlines()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .cayley import BallIndex, locate
+from .cayley import BallIndex, OracleKeys, locate
 from .words import Alphabet, Word, reduce_ids
 
 
@@ -64,6 +64,10 @@ class BaseGroupOracle:
 
     def is_identity(self, key) -> bool:
         return key == self.identity_key()
+
+    def key_table(self) -> OracleKeys:
+        """The key table of a ball over this oracle: its keys as they are."""
+        return OracleKeys(self)
 
 
 def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):

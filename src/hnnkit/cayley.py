@@ -1,11 +1,26 @@
 """Breadth-first Cayley balls over any element oracle.
 
 A BallIndex holds, for every element within the requested radius: its
-canonical key, its distance from the identity, the full transition row
-(element * letter for every signed letter; only for elements strictly inside
-the radius, which are the ones the BFS expanded), and every predecessor link
-(p, letter) with p * letter = element and |p| = |element| - 1.  Storing all
-predecessor links makes geodesic enumeration a walk, not a search.
+code, its distance from the identity, the full transition row (element *
+letter for every signed letter, as a tuple of ids; only for elements
+strictly inside the radius, which are the ones the BFS expanded), and every
+predecessor link (p, letter) with p * letter = element and |p| = |element|
+- 1.  Storing all predecessor links makes geodesic enumeration a walk, not
+a search.
+
+Codes come from a key table the ball gets from its oracle and owns
+(oracle.key_table()).  A base oracle's table is trivial: codes are its
+keys.  An HnnSpec's table (hnn.HnnKeyTable) interns base segments and key
+prefixes, so a code is one int and a BFS step is a memo lookup instead of a
+fold.  Canonical keys go in and out through the table: id_of, `in` and
+locate encode a key, and BallIndex.key(eid) decodes one; a key with a part
+the table never interned is not in the ball.
+
+The layout keeps the garbage collector's work small: distances are one
+array("i"), rows are tuples of ints, and the links are compressed sparse
+rows, the links of eid being (link_src[k], link_letter[k]) for k in
+range(link_start[eid], link_start[eid + 1]), in the order the BFS found
+them.  They are built once per sphere, and readers scan them inline.
 
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
@@ -26,10 +41,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from typing import Iterator, Optional
 
 from .limits import default_mem_cap
-from .words import Word
+from .words import Word, format_word
 
 
 class BallCapError(RuntimeError):
@@ -51,34 +67,68 @@ class OutOfBallError(RuntimeError):
         self.have_radius = have_radius
 
 
+class OracleKeys:
+    """The trivial key table of a base oracle: its codes are the oracle's keys."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.identity = oracle.identity_key()
+
+    def row(self, key) -> list:
+        apply_letter = self.oracle.apply_letter
+        return [apply_letter(key, lid) for lid in range(self.oracle.alphabet.n_letters)]
+
+    def key(self, code):
+        return code
+
+    def encode(self, key):
+        return key
+
+
 class BallIndex:
-    """The radius-0 ball: just the identity.  Grow it with extend_ball."""
+    """The radius-0 ball: just the identity.  Grow it with extend_ball.
+
+    codes[eid] is the element's code in the ball's key table, code_ids the
+    inverse map.  trans[eid] is the row of an expanded element, else None.
+    The predecessor links of eid are (link_src[k], link_letter[k]) for k in
+    range(link_start[eid], link_start[eid + 1]).
+    """
 
     def __init__(self, oracle, mem_cap: Optional[int] = None):
         self.oracle = oracle
+        self.table = oracle.key_table()
         self.radius = 0
         self.mem_cap = default_mem_cap() if mem_cap is None else mem_cap
-        ident = oracle.identity_key()
-        self.keys: list = [ident]
-        self.ids: dict = {ident: 0}
-        self.dist: list[int] = [0]
-        self.trans: list[Optional[list[int]]] = [None]
-        self.preds: list[list[tuple[int, int]]] = [[]]
+        ident = self.table.identity
+        self.codes: list = [ident]
+        self.code_ids: dict = {ident: 0}
+        self.dist = array("i", [0])
+        self.trans: list[Optional[tuple[int, ...]]] = [None]
+        self.link_start = array("i", [0, 0])
+        self.link_src = array("i")
+        self.link_letter = array("i")
         self.sphere_sizes: list[int] = [1]
-        self._slex: Optional[list[tuple[int, ...]]] = None
         self._counts: Optional[list[int]] = None
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.codes)
+
+    def _find(self, key) -> Optional[int]:
+        code = self.table.encode(key)
+        return None if code is None else self.code_ids.get(code)
 
     def __contains__(self, key) -> bool:
-        return key in self.ids
+        return self._find(key) is not None
 
     def id_of(self, key) -> int:
-        try:
-            return self.ids[key]
-        except KeyError:
-            raise OutOfBallError(self.radius + 1, self.radius) from None
+        eid = self._find(key)
+        if eid is None:
+            raise OutOfBallError(self.radius + 1, self.radius)
+        return eid
+
+    def key(self, eid: int):
+        """The canonical key of an element."""
+        return self.table.key(self.codes[eid])
 
     def distance_of_key(self, key) -> int:
         return self.dist[self.id_of(key)]
@@ -90,7 +140,7 @@ class BallIndex:
         start = sum(self.sphere_sizes[:n])
         return range(start, start + self.sphere_sizes[n])
 
-    def neighbors(self, eid: int) -> list[int]:
+    def neighbors(self, eid: int) -> tuple[int, ...]:
         row = self.trans[eid]
         if row is None:
             raise OutOfBallError(self.dist[eid] + 1, self.radius)
@@ -98,37 +148,40 @@ class BallIndex:
 
     # -- geodesic machinery -------------------------------------------------
 
-    def _fill_geodesic_tables(self):
-        if self._slex is not None:
-            return
-        slex: list[tuple[int, ...]] = [()] * len(self.keys)
-        counts = [0] * len(self.keys)
-        counts[0] = 1
-        for eid in range(1, len(self.keys)):
-            best = None
-            total = 0
-            for pid, lid in self.preds[eid]:
-                cand = slex[pid] + (lid,)
-                total += counts[pid]
-                if best is None or cand < best:
-                    best = cand
-            slex[eid] = best if best is not None else ()
-            counts[eid] = total
-        self._slex = slex
-        self._counts = counts
-
     def shortlex_geodesic(self, eid: int) -> Word:
-        self._fill_geodesic_tables()
-        return Word(self.oracle.alphabet, self._slex[eid])
+        """The shortlex least geodesic, found among the element's ancestors only."""
+        start, src = self.link_start, self.link_src
+        ancestors = {eid}
+        stack = [eid]
+        while stack:
+            e = stack.pop()
+            for k in range(start[e], start[e + 1]):
+                p = src[k]
+                if p not in ancestors:
+                    ancestors.add(p)
+                    stack.append(p)
+        # every ancestor lies on a geodesic to eid, so the least word takes at
+        # each step the least letter onto an ancestor one sphere further out
+        ids = []
+        v = 0
+        for d in range(1, self.dist[eid] + 1):
+            lid, v = next((lid, t) for lid, t in enumerate(self.trans[v])
+                          if t in ancestors and self.dist[t] == d)
+            ids.append(lid)
+        return Word(self.oracle.alphabet, tuple(ids))
 
     def geodesic_count(self, eid: int) -> int:
-        self._fill_geodesic_tables()
+        """The number of geodesic words of the element (a table over the whole ball)."""
+        if self._counts is None:
+            start, src = self.link_start, self.link_src
+            counts = [1]
+            for e in range(1, len(self)):
+                counts.append(sum(counts[src[k]] for k in range(start[e], start[e + 1])))
+            self._counts = counts
         return self._counts[eid]
 
     def label(self, eid: int) -> str:
         """Shortlex geodesic as a string; the human name of the element."""
-        from .words import format_word
-
         return format_word(self.shortlex_geodesic(eid))
 
 
@@ -150,64 +203,96 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     """
     if radius <= ball.radius:
         return
-    ball._slex = ball._counts = None
-    n_letters = ball.oracle.alphabet.n_letters
-    apply_letter = ball.oracle.apply_letter
+    ball._counts = None
+    row_of = ball.table.row
     mem_cap = ball.mem_cap
-    ids = ball.ids
-    keys = ball.keys
+    code_ids = ball.code_ids
+    codes = ball.codes
     dist = ball.dist
-    preds = ball.preds
+    trans = ball.trans
     for d in range(ball.radius, radius):
         frontier = ball.sphere(d)
-        n_before = len(keys)
+        n_before = len(codes)  # sphere d + 1 is the ids from here on
+        # the links into sphere d + 1, in the order they are found: the first
+        # of each element (so in id order), and the later ones with targets
+        first_src, first_letter = array("i"), array("i")
+        later_target, later_src, later_letter = array("i"), array("i"), array("i")
         try:
             for eid in frontier:
-                key = keys[eid]
-                row = [0] * n_letters
-                for lid in range(n_letters):
-                    k2 = apply_letter(key, lid)
-                    tid = ids.get(k2)
+                row = []
+                for lid, code in enumerate(row_of(codes[eid])):
+                    tid = code_ids.get(code)
                     if tid is None:
-                        if len(keys) >= mem_cap:
+                        tid = len(codes)
+                        if tid >= mem_cap:
                             raise BallCapError(mem_cap, d)
-                        tid = len(keys)
-                        ids[k2] = tid
-                        keys.append(k2)
-                        dist.append(d + 1)
-                        ball.trans.append(None)
-                        preds.append([(eid, lid)])
-                    elif dist[tid] == d + 1:
-                        preds[tid].append((eid, lid))
-                    row[lid] = tid
-                ball.trans[eid] = row
+                        code_ids[code] = tid
+                        codes.append(code)
+                        first_src.append(eid)
+                        first_letter.append(lid)
+                    elif tid >= n_before:
+                        later_target.append(tid)
+                        later_src.append(eid)
+                        later_letter.append(lid)
+                    row.append(tid)
+                trans[eid] = tuple(row)
         except BallCapError:
-            for key in keys[n_before:]:
-                del ids[key]
-            for lst in (keys, dist, ball.trans, preds):
-                del lst[n_before:]
+            for code in codes[n_before:]:
+                del code_ids[code]
+            del codes[n_before:]
             for eid in frontier:
-                ball.trans[eid] = None
+                trans[eid] = None
             raise
-        ball.sphere_sizes.append(len(keys) - n_before)
+        n_new = len(codes) - n_before
+        dist.extend(array("i", [d + 1]) * n_new)
+        trans.extend([None] * n_new)
+        _append_links(ball, first_src, first_letter, later_target, later_src, later_letter)
+        ball.sphere_sizes.append(n_new)
         ball.radius = d + 1
         if progress is not None:
-            progress(d + 1, len(keys))
-        if len(keys) == n_before:
+            progress(d + 1, len(codes))
+        if not n_new:
             break
     while len(ball.sphere_sizes) < radius + 1:
         ball.sphere_sizes.append(0)
     ball.radius = radius
 
 
+def _append_links(ball: BallIndex, first_src, first_letter, later_target, later_src,
+                  later_letter) -> None:
+    """Add the links of a new sphere, each element's in the order they were found.
+
+    The first links are already in element order; the later ones are sorted
+    (stably) by target and placed after their target's first link, with the
+    runs of first links in between copied whole.
+    """
+    src, letter, start = ball.link_src, ball.link_letter, ball.link_start
+    base = len(ball.codes) - len(first_src)
+    done = 0  # the first links of elements base .. base + done - 1 are placed
+    for k in sorted(range(len(later_target)), key=later_target.__getitem__):
+        t = later_target[k] - base
+        if t >= done:
+            src.extend(first_src[done:t + 1])
+            letter.extend(first_letter[done:t + 1])
+            start.extend(range(start[-1] + 1, start[-1] + t + 2 - done))
+            done = t + 1
+        src.append(later_src[k])
+        letter.append(later_letter[k])
+        start[-1] += 1
+    src.extend(first_src[done:])
+    letter.extend(first_letter[done:])
+    start.extend(range(start[-1] + 1, start[-1] + 1 + len(first_src) - done))
+
+
 def locate(ball: BallIndex, key) -> int:
     """Id of the key, extending the ball one sphere at a time until it is in."""
-    ids = ball.ids
-    while key not in ids:
+    while True:
+        eid = ball._find(key)
+        if eid is not None:
+            return eid
         if ball.sphere_sizes[-1] == 0:
             raise ValueError(f"key {key!r} is not an element of this group")
         extend_ball(ball, ball.radius + 1)
-    return ids[key]
 
 
 def distance(ball: BallIndex, x_key, y_key) -> int:
@@ -225,6 +310,7 @@ def is_geodesic(ball: BallIndex, w: Word) -> bool:
 def geodesics_of(ball: BallIndex, key) -> list[Word]:
     """Every geodesic word for the element, in shortlex order."""
     eid = ball.id_of(key)
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
     def rec(e: int) -> list[tuple[int, ...]]:
@@ -232,8 +318,9 @@ def geodesics_of(ball: BallIndex, key) -> list[Word]:
         if got is not None:
             return got
         acc = []
-        for pid, lid in ball.preds[e]:
-            acc.extend(w + (lid,) for w in rec(pid))
+        for k in range(start[e], start[e + 1]):
+            lid = letter[k]
+            acc.extend(w + (lid,) for w in rec(src[k]))
         acc.sort()
         memo[e] = acc
         return acc
@@ -243,63 +330,48 @@ def geodesics_of(ball: BallIndex, key) -> list[Word]:
 
 def export_ball(ball: BallIndex, fmt: str) -> bytes:
     """Serialize the ball; 'dot', 'json' (JSON lines) or 'csv'. Byte-stable."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "distance", "geodesic", "count"])
-        for eid in range(len(ball.keys)):
-            writer.writerow(
-                [
-                    ball.oracle.key_str(ball.keys[eid]),
-                    ball.dist[eid],
-                    ball.label(eid),
-                    ball.geodesic_count(eid),
-                ]
-            )
-        return buf.getvalue().encode()
-    if fmt == "json":
-        lines = []
-        for eid in range(len(ball.keys)):
-            lines.append(
-                json.dumps(
-                    {
-                        "key": ball.oracle.key_str(ball.keys[eid]),
-                        "distance": ball.dist[eid],
-                        "geodesic": ball.label(eid),
-                        "count": ball.geodesic_count(eid),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return ("\n".join(lines) + "\n").encode()
+    if fmt not in ("dot", "json", "csv"):
+        raise ValueError(f"unknown export format {fmt!r} (want dot, json or csv)")
+    # every element's shortlex least geodesic, extending its predecessors'
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+    slex: list[tuple[int, ...]] = [()]
+    for eid in range(1, len(ball)):
+        slex.append(min(slex[src[k]] + (letter[k],) for k in range(start[eid], start[eid + 1])))
+    alphabet = ball.oracle.alphabet
+    labels = [format_word(Word(alphabet, ids)) for ids in slex]
     if fmt == "dot":
         out = ["digraph ball {"]
-        for eid in range(len(ball.keys)):
-            out.append(f'  n{eid} [label="{ball.label(eid)}"];')
-        letter_str = ball.oracle.alphabet.letter_str
+        for eid, label in enumerate(labels):
+            out.append(f'  n{eid} [label="{label}"];')
+        letter_str = alphabet.letter_str
         for eid, lid, tid in ball_edges(ball):
             out.append(f'  n{eid} -> n{tid} [label="{letter_str(lid)}"];')
         out.append("}")
         return ("\n".join(out) + "\n").encode()
-    raise ValueError(f"unknown export format {fmt!r} (want dot, json or csv)")
+    key_str = ball.oracle.key_str
+    fields = ("key", "distance", "geodesic", "count")
+    records = [(key_str(ball.key(eid)), ball.dist[eid], labels[eid], ball.geodesic_count(eid))
+               for eid in range(len(ball))]
+    if fmt == "json":
+        lines = [json.dumps(dict(zip(fields, rec)), sort_keys=True) for rec in records]
+        return ("\n".join(lines) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(records)
+    return buf.getvalue().encode()
 
 
 def ball_edges(ball: BallIndex) -> Iterator[tuple[int, int, int]]:
     """Every directed edge of the subgraph induced on the ball.
 
-    Rows of expanded elements are stored; boundary elements get their edges
-    recomputed through the oracle and filtered to in-ball targets.
+    Rows of expanded elements are stored; boundary elements get their rows
+    from the key table, filtered to in-ball targets.
     """
-    oracle = ball.oracle
-    n_letters = oracle.alphabet.n_letters
-    for eid in range(len(ball.keys)):
+    for eid in range(len(ball)):
         row = ball.trans[eid]
-        if row is not None:
-            for lid, tid in enumerate(row):
+        if row is None:
+            row = map(ball.code_ids.get, ball.table.row(ball.codes[eid]))
+        for lid, tid in enumerate(row):
+            if tid is not None:
                 yield eid, lid, tid
-        else:
-            key = ball.keys[eid]
-            for lid in range(n_letters):
-                tid = ball.ids.get(oracle.apply_letter(key, lid))
-                if tid is not None:
-                    yield eid, lid, tid

@@ -25,7 +25,9 @@ alone, so it is the state of a finite automaton: layers are interned as
 small ints, the step is memoized, and words are counted per (state, last
 letter) one length at a time, not visited.  A word's minimum is R_n(0).
 Caps are tried in increasing order, and the first that leaves no word
-unresolved gives exact tallies, since a cap only drops costs above itself.
+unresolved gives exact tallies, since a cap only drops costs above itself;
+if k_cap leaves words unresolved, that subtree is walked word by word at
+k_cap, so they can be listed.
 Neumann and Shapiro show that FFTP makes the geodesics a regular language
 with states in a bounded ball; a closed automaton (a length that adds no
 new state) is evidence of that at the lengths run, not a proof of FFTP.
@@ -39,7 +41,7 @@ from typing import Optional
 
 from . import parallel
 from .cayley import BallIndex, OutOfBallError, build_ball
-from .words import Word, enumerate_words, format_word
+from .words import Word, format_word
 
 INF = float("inf")
 
@@ -56,9 +58,9 @@ def fellow_distance(ball: BallIndex, w1: Word, w2: Word) -> int:
             r = oracle.apply_letter_left(w1.ids[t - 1] ^ 1, r)
         if t <= len(w2.ids):
             r = oracle.apply_letter(r, w2.ids[t - 1])
-        if r not in ball.ids:
+        if r not in ball:
             raise OutOfBallError(len(w1) + len(w2), ball.radius)
-        d = ball.dist[ball.ids[r]]
+        d = ball.distance_of_key(r)
         if d > best:
             best = d
     return best
@@ -177,8 +179,9 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if ball.radius < n_max + 1:
         raise OutOfBallError(n_max + 1, ball.radius)
-    dist = ball.dist
+    dist = ball.dist.tolist()  # a list indexes faster in the pair loops
     trans = ball.trans
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     report = AcReport(n_max)
     for n in range(1, n_max + 1):
         # same-sphere pairs (g, h), g < h -> gamma; near: an edge, or two
@@ -197,11 +200,15 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
                             near.setdefault((g, h), (l1, l2))
         # far pairs come straight off their midpoints' predecessor links
         for m in ball.sphere(n + 1):
-            links = ball.preds[m]
-            for g, l1 in links:
-                for h, l2 in links:
+            links = range(start[m], start[m + 1])
+            if len(links) < 2:
+                continue
+            for i in links:
+                g = src[i]
+                for j in links:
+                    h = src[j]
                     if h > g and (g, h) not in near:
-                        far.setdefault((g, h), (l1, l2 ^ 1))
+                        far.setdefault((g, h), (letter[i], letter[j] ^ 1))
         d1 = sum(len(gamma) == 1 for gamma in near.values())
         rec = AcRadiusRecord(n, 0, d1, len(near) + len(far) - d1)
         best = None  # (g, h, gamma, path) of the smallest pair with the longest path
@@ -334,18 +341,18 @@ class _FftpContext:
             ball = build_ball(ball.oracle, radius, mem_cap=ball.mem_cap)
         self.rel = ball
         self.rel_trans = trans = ball.trans
-        self.rel_dist = ball.dist
+        self.rel_dist = ball.dist.tolist()  # a list indexes faster in extend_dp's loop
         # left translates l*g, read only for |g| <= k_cap + 1 (a state plus a
         # letter).  For a predecessor link (p, y) of g, l*g = (l*p)*y with
         # |l*p| <= |g| < radius, so the row exists and l*g is in the ball.
         n_read = ball.sphere(k_cap + 1).stop
-        preds = ball.preds
+        firsts = ball.link_start[1:n_read]
+        src, letter = ball.link_src, ball.link_letter
         self.lefts = []
         for lid in range(self.n_letters):
             col = [trans[0][lid]]
-            for g in range(1, n_read):
-                p, y = preds[g][0]
-                col.append(trans[col[p]][y])
+            for k in firsts:
+                col.append(trans[col[src[k]]][letter[k]])
             self.lefts.append(col)
         self.layer_dp: list[dict] = []  # layer id -> layer
         self._layer_ids: dict[tuple, int] = {}  # (states, costs) -> layer id
@@ -446,8 +453,10 @@ def _tally(partial: dict, m: int, count: int, ids: tuple[int, ...]) -> None:
 def _geodesic_counts(ball: BallIndex, first: int, max_len: int) -> list[int]:
     """Geodesic words beginning with letter first, per length 0 .. max_len."""
     counts = [0] * ball.sphere(max_len).stop
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     for g in range(1, len(counts)):  # BFS order: predecessors come first
-        counts[g] = sum(counts[p] if p else y == first for p, y in ball.preds[g])
+        counts[g] = sum(counts[src[k]] if src[k] else letter[k] == first
+                        for k in range(start[g], start[g + 1]))
     return [sum(counts[g] for g in ball.sphere(n)) for n in range(max_len + 1)]
 
 
@@ -490,7 +499,8 @@ def _count_subtree(ctx: _FftpContext, first: int, cap: int, geodesic: list[int])
 def _fftp_worker(first: int) -> dict:
     """The tallies of one first letter at the least cap that resolves every word.
 
-    If k_cap leaves words unresolved, each word is scored, so they can be listed.
+    If k_cap leaves words unresolved, the subtree is walked once at k_cap,
+    each word's state carried down from its prefix, so they can be listed.
     """
     ctx = parallel.get_context()
     geodesic = _geodesic_counts(ctx.rel, first, ctx.max_len)
@@ -498,30 +508,50 @@ def _fftp_worker(first: int) -> dict:
         partial, missing = _count_subtree(ctx, first, cap, geodesic)
         if not missing:
             return partial
-    tails = enumerate_words(ctx.rel.oracle.alphabet, ctx.max_len - 1, ctx.reduced_only)
-    return _score_words(ctx, ((first,) + w.ids for w in tails
-                              if not (ctx.reduced_only and w.ids[:1] == (first ^ 1,))))
+    partial = _new_partial()
+    stack = [((first,), ctx.start, ctx.rel_trans[0][first])]
+    while stack:
+        ids, state, end = stack.pop()
+        _score_word(ctx, partial, ids, state, end)
+        if len(ids) < ctx.max_len:
+            last = ids[-1]
+            after = ctx.step(state, last, ctx.k_cap)
+            for y in range(ctx.n_letters):
+                if not (ctx.reduced_only and y == last ^ 1):
+                    stack.append((ids + (y,), after, ctx.rel_trans[end][y]))
+    return partial
+
+
+def _score_word(ctx: _FftpContext, partial: dict, ids: tuple[int, ...], state, end: int) -> None:
+    """Tally one word, given its endpoint and the state of its prefix at k_cap
+    or at any cap that resolves it: a cap only drops costs above itself, so
+    every such cap gives the same minimum.
+    """
+    partial["total"] += 1
+    if ctx.rel_dist[end] == len(ids):
+        partial["geodesic"] += 1
+        return
+    m = ctx.word_min(state, ids[-1])
+    if m == INF:
+        partial["unresolved"].append(ids)
+    else:
+        _tally(partial, m, 1, ids)
 
 
 def _score_words(ctx: _FftpContext, words) -> dict:
-    """The tallies of the given words, each scored on its own by the same cap ladder."""
+    """The tallies of the given words, each scored on its own at the least cap that resolves it."""
     partial = _new_partial()
     for ids in words:
-        partial["total"] += 1
         end = 0
         for x in ids:
             end = ctx.rel_trans[end][x]
-        if ctx.rel_dist[end] == len(ids):
-            partial["geodesic"] += 1
-            continue
-        for cap in range(ctx.k_cap + 1):
-            m = ctx.word_min(ctx.states(ids, cap)[-1], ids[-1])
-            if m <= cap:
-                break
-        if m == INF:
-            partial["unresolved"].append(ids)
-        else:
-            _tally(partial, m, 1, ids)
+        state = ctx.start
+        if ctx.rel_dist[end] < len(ids):  # geodesic words resolve at no cap
+            for cap in range(ctx.k_cap + 1):
+                state = ctx.states(ids, cap)[-1]
+                if ctx.word_min(state, ids[-1]) <= cap:
+                    break
+        _score_word(ctx, partial, ids, state, end)
     return partial
 
 
@@ -637,22 +667,21 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
     witness words.
     """
     nb = spec.n_base_letters
-    report = SignatureReport(ball.radius, len(ball.keys))
-    sigs: list[tuple] = [()] * len(ball.keys)
-    for eid in range(1, len(ball.keys)):
-        options = []
-        for pid, lid in ball.preds[eid]:
-            sig = sigs[pid] + ((lid,) if lid >= nb else ())
-            options.append((sig, pid, lid))
-        sig0 = options[0][0]
-        sigs[eid] = sig0
-        for sig, pid, lid in options[1:]:
-            if sig != sig0:
-                w1 = ball.shortlex_geodesic(options[0][1]).ids + (options[0][2],)
+    report = SignatureReport(ball.radius, len(ball))
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+    sigs: list[tuple] = [()] * len(ball)
+    for eid in range(1, len(ball)):
+        first = start[eid]
+        p0, l0 = src[first], letter[first]
+        sigs[eid] = sig0 = sigs[p0] + ((l0,) if l0 >= nb else ())
+        for k in range(first + 1, start[eid + 1]):
+            pid, lid = src[k], letter[k]
+            if sigs[pid] + ((lid,) if lid >= nb else ()) != sig0:
+                w1 = ball.shortlex_geodesic(p0).ids + (l0,)
                 w2 = ball.shortlex_geodesic(pid).ids + (lid,)
                 report.violations.append(
                     {
-                        "element": ball.oracle.key_str(ball.keys[eid]),
+                        "element": ball.oracle.key_str(ball.key(eid)),
                         "word1": format_word(Word(ball.oracle.alphabet, w1)),
                         "word2": format_word(Word(ball.oracle.alphabet, w2)),
                     }

@@ -14,10 +14,15 @@ last segment g = r * u along a left coset of the crossed subgroup, pushing
 the image of u across the stable letter.  The result is the unique normal
 form: two words represent the same group element iff they fold to equal
 keys.
+
+Cayley balls do not fold tuples: a ball's HnnKeyTable interns segments and
+key prefixes as ints and runs the same pinch and split code once per base
+segment and letter.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -92,23 +97,29 @@ class HnnSpec(BaseGroupOracle):
     def _append_base_key(self, segs: list, bkey):
         segs[-1] = self.base.mult_key(segs[-1], bkey)
 
-    def _append_stable(self, segs: list, i: int, eps: int):
+    def _pinch_image(self, tail, i: int, eps: int):
+        """The image of tail across s_i^eps if tail is in the subgroup it crosses, else None."""
         pair = self.pairs[i]
+        return pair.phi(tail) if eps > 0 else pair.phi_inv(tail)
+
+    def _split(self, tail, i: int, eps: int):
+        """(r, img): tail = r * u with r its left coset representative, img the image of u."""
+        sub = self.pairs[i].u if eps > 0 else self.pairs[i].v
+        r = sub.coset_rep_left(tail)
+        img = self._pinch_image(self.base.mult_key(self.base.inv_key(r), tail), i, eps)
+        if img is None:
+            raise AssertionError("coset split produced a non-member factor")
+        return r, img
+
+    def _append_stable(self, segs: list, i: int, eps: int):
         if len(segs) >= 3 and segs[-2] == (i, -eps):
-            img = pair.phi(segs[-1]) if eps > 0 else pair.phi_inv(segs[-1])
+            img = self._pinch_image(segs[-1], i, eps)
             if img is not None:
                 segs.pop()
                 segs.pop()
                 segs[-1] = self.base.mult_key(segs[-1], img)
                 return
-        sub = pair.u if eps > 0 else pair.v
-        tail = segs[-1]
-        r = sub.coset_rep_left(tail)
-        u = self.base.mult_key(self.base.inv_key(r), tail)
-        img = pair.phi(u) if eps > 0 else pair.phi_inv(u)
-        if img is None:
-            raise AssertionError("coset split produced a non-member factor")
-        segs[-1] = r
+        segs[-1], img = self._split(segs[-1], i, eps)
         segs.append((i, eps))
         segs.append(img)
 
@@ -204,6 +215,141 @@ class HnnSpec(BaseGroupOracle):
         if w.alphabet != self.base.alphabet:
             raise ValueError("expected a word over the base alphabet")
         return Word(self.alphabet, w.ids)
+
+    def key_table(self) -> "HnnKeyTable":
+        """A fresh table of compact keys, for one ball."""
+        return HnnKeyTable(self)
+
+
+_PREFIX_BITS = 31  # prefix ids are stored in array("i")s
+_PREFIX_MASK = (1 << _PREFIX_BITS) - 1
+
+
+class HnnKeyTable:
+    """Compact keys of the elements of one ball over an HnnSpec.
+
+    Base segments are interned as segment ids, and key prefixes (a key
+    without its last segment) as prefix ids: prefix 0 is empty, and every
+    other one is a triple (parent prefix, segment id, stable letter id)
+    whose segment is the coset representative a split left behind.  An
+    element's code is segment id << 31 | prefix id; the prefix id takes the
+    low bits, which spread the codes over a dict's slots.
+
+    A segment's moves are computed once, by the fold's own pinch and split
+    code: per base letter the next segment, per stable letter the split
+    (r, image) and the pinch image (-1 if the segment is not in the crossed
+    subgroup).  A BFS step is then a memo lookup plus at most one prefix
+    lookup.  The table belongs to the ball that made it, so the word
+    functions never grow it.
+    """
+
+    def __init__(self, spec: HnnSpec):
+        self.spec = spec
+        self.n_base_letters = nb = spec.n_base_letters
+        n_letters = spec.alphabet.n_letters
+        self._markers = {lid: spec.stable_of_letter(lid) for lid in range(nb, n_letters)}
+        self._marker_letters = {m: lid for lid, m in self._markers.items()}
+        # per stable letter: the subgroup it splits along, and that subgroup's first generator
+        self._crossed = {}
+        for lid, (i, eps) in self._markers.items():
+            sub = spec.pairs[i].u if eps > 0 else spec.pairs[i].v
+            self._crossed[lid] = sub, sub.evaluate_subgroup_word(((0, 1),))
+        self.identity = 0
+        self.segments: list = []
+        self._segment_ids: dict = {}
+        self._moves: list = []  # segment id -> (base moves, stable moves), or None
+        self._segment(spec.base.identity_key())
+        # prefix id -> parent prefix, segment id and stable letter id
+        self.prefix_parent, self.prefix_segment, self.prefix_letter = (
+            array("i", [0]), array("i", [0]), array("i", [-1]))
+        self._pushes: dict = {}  # (segment id, stable letter id) -> {parent: prefix id}
+        self._products: dict = {}  # (segment id, segment id) -> segment id of the product
+
+    def _segment(self, key) -> int:
+        sid = self._segment_ids.get(key)
+        if sid is None:
+            sid = self._segment_ids[key] = len(self.segments)
+            self.segments.append(key)
+            self._moves.append(None)
+        return sid
+
+    def _fill_moves(self, sid: int) -> tuple:
+        """The moves of a segment: base ones as shifted segment ids, stable ones as
+        (letter, r, pushes, shifted image, pinch), pushes mapping a parent prefix to
+        the prefix (parent, r, letter)."""
+        spec = self.spec
+        g = self.segments[sid]
+        apply_letter = spec.base.apply_letter
+        base_moves = tuple(self._segment(apply_letter(g, lid)) << _PREFIX_BITS
+                           for lid in range(self.n_base_letters))
+        stable_moves = []
+        for lid, (i, eps) in self._markers.items():
+            r, img = spec._split(g, i, eps)
+            # prefixes are interned by segment id, so a representative must be
+            # canonical: its own representative, and that of r times a generator
+            sub, gen = self._crossed[lid]
+            if sub.coset_rep_left(r) != r or sub.coset_rep_left(spec.base.mult_key(r, gen)) != r:
+                raise AssertionError("coset representative is not canonical")
+            pinch = spec._pinch_image(g, i, eps)
+            r = self._segment(r)
+            stable_moves.append((lid, r, self._pushes.setdefault((r, lid), {}),
+                                 self._segment(img) << _PREFIX_BITS,
+                                 -1 if pinch is None else self._segment(pinch)))
+        moves = self._moves[sid] = (base_moves, tuple(stable_moves))
+        return moves
+
+    def row(self, code: int) -> list[int]:
+        """The codes of code * letter, for every letter in order."""
+        pid = code & _PREFIX_MASK
+        sid = code >> _PREFIX_BITS
+        base_moves, stable_moves = self._moves[sid] or self._fill_moves(sid)
+        out = [s | pid for s in base_moves]
+        parent, g, last = self.prefix_parent[pid], self.prefix_segment[pid], self.prefix_letter[pid]
+        for lid, r, pushes, img, pinch in stable_moves:
+            if pinch >= 0 and last == lid ^ 1:
+                out.append(self._product(g, pinch) << _PREFIX_BITS | parent)
+                continue
+            q = pushes.get(pid)
+            if q is None:
+                q = pushes[pid] = len(self.prefix_parent)
+                if q > _PREFIX_MASK:
+                    raise OverflowError("more key prefixes than a code can address")
+                self.prefix_parent.append(pid)
+                self.prefix_segment.append(r)
+                self.prefix_letter.append(lid)
+            out.append(img | q)
+        return out
+
+    def _product(self, a: int, b: int) -> int:
+        sid = self._products.get((a, b))
+        if sid is None:
+            key = self.spec.base.mult_key(self.segments[a], self.segments[b])
+            sid = self._products[a, b] = self._segment(key)
+        return sid
+
+    def key(self, code: int) -> tuple:
+        """The normal-form key of a code."""
+        parts = [self.segments[code >> _PREFIX_BITS]]
+        pid = code & _PREFIX_MASK
+        while pid:
+            parts.append(self._markers[self.prefix_letter[pid]])
+            parts.append(self.segments[self.prefix_segment[pid]])
+            pid = self.prefix_parent[pid]
+        parts.reverse()
+        return tuple(parts)
+
+    def encode(self, key) -> Optional[int]:
+        """The code of a normal-form key, or None if a part was never interned."""
+        if not isinstance(key, tuple) or len(key) % 2 == 0:
+            return None
+        pid = 0
+        for pos in range(1, len(key), 2):
+            g = self._segment_ids.get(key[pos - 1])
+            pid = self._pushes.get((g, self._marker_letters.get(key[pos])), {}).get(pid)
+            if pid is None:
+                return None
+        sid = self._segment_ids.get(key[-1])
+        return None if sid is None else sid << _PREFIX_BITS | pid
 
 
 @dataclass(frozen=True)
@@ -429,7 +575,8 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                 blocks = [gw.ids for gw in sub.generator_words]
                 blocks += [tuple(l ^ 1 for l in reversed(b)) for b in blocks]
                 blocks_per_sub[(i, side)] = blocks
-        for key in ball.keys:
+        for eid in range(len(ball)):
+            key = ball.key(eid)
             for i, pair in enumerate(spec.pairs):
                 for side, sub in (("U", pair.u), ("V", pair.v)):
                     if not sub.contains(key):

@@ -55,6 +55,12 @@ def g2_ball7(g2):
     return build_ball(g2, 7)
 
 
+def links_of(ball, eid):
+    """The predecessor links (p, letter) of an element, in stored order."""
+    return [(ball.link_src[k], ball.link_letter[k])
+            for k in range(ball.link_start[eid], ball.link_start[eid + 1])]
+
+
 def naive_z2_abcd_ball(radius):
     """Independent BFS over Z^2 with generator vectors a,b,c,d; no hnnkit code."""
     gens = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (2, 2), (-2, -2)]

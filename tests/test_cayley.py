@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import naive_z2_abcd_ball
+from conftest import links_of, naive_z2_abcd_ball
 from hnnkit.cayley import (
     BallCapError,
     OutOfBallError,
@@ -12,8 +12,9 @@ from hnnkit.cayley import (
     extend_ball,
     geodesics_of,
     is_geodesic,
+    locate,
 )
-from hnnkit.words import format_word, parse_word
+from hnnkit.words import enumerate_words, format_word, parse_word
 
 
 def test_sphere_sizes_examples(z2_abcd, wise):
@@ -65,11 +66,11 @@ def test_predecessor_completeness(z2_abcd, z2_abcd_ball9):
             continue
         expected = set()
         for lid in range(z2_abcd.alphabet.n_letters):
-            k2 = z2_abcd.apply_letter(ball.keys[eid], lid)
-            tid = ball.ids[k2]
+            k2 = z2_abcd.apply_letter(ball.key(eid), lid)
+            tid = ball.id_of(k2)
             if ball.dist[tid] == ball.dist[eid] - 1:
                 expected.add((tid, lid ^ 1))
-        assert set(ball.preds[eid]) == expected
+        assert set(links_of(ball, eid)) == expected
 
 
 def test_distance_queries(wise, z2_abcd, z2_abcd_ball9):
@@ -96,7 +97,7 @@ def test_distance_symmetry_random(z2_abcd, z2_abcd_ball9):
     import random
 
     rng = random.Random(15)
-    keys = z2_abcd_ball9.keys
+    keys = [z2_abcd_ball9.key(eid) for eid in range(len(z2_abcd_ball9))]
     inner = [k for k, d in zip(keys, z2_abcd_ball9.dist) if d <= 4]
     for _ in range(100):
         x, y = rng.choice(inner), rng.choice(inner)
@@ -157,7 +158,8 @@ def test_export_determinism(z2_abcd):
 
 
 def _ball_state(ball):
-    return (ball.radius, ball.keys, ball.ids, ball.dist, ball.trans, ball.preds,
+    return (ball.radius, [ball.key(e) for e in range(len(ball))], list(ball.dist), ball.trans,
+            [links_of(ball, e) for e in range(len(ball))],
             ball.sphere_sizes, [ball.label(e) for e in range(len(ball))],
             [ball.geodesic_count(e) for e in range(len(ball))])
 
@@ -217,7 +219,96 @@ def test_mem_cap_env_var_reaches_library_builds(z2_abcd, monkeypatch):
 def test_base_embeds_isometrically_in_extension(wise, z2_abcd):
     wball = build_ball(wise, 5)
     zball = build_ball(z2_abcd, 5)
-    for key, eid in zball.ids.items():
-        ext = (key,)
-        assert ext in wball.ids
-        assert wball.dist[wball.ids[ext]] == zball.dist[eid]
+    for eid in range(len(zball)):
+        ext = (zball.key(eid),)
+        assert ext in wball
+        assert wball.distance_of_key(ext) == zball.dist[eid]
+
+
+def tuple_key_ball(oracle, radius):
+    """The BFS over the oracle's own keys that the compact ball replaced.
+
+    Returns keys, ids (key -> id), dist, rows, predecessor links and sphere sizes.
+    """
+    keys = [oracle.identity_key()]
+    ids = {keys[0]: 0}
+    dist, trans, preds, sizes = [0], [None], [[]], [1]
+    for d in range(radius):
+        n_before = len(keys)
+        for eid in range(sum(sizes[:-1]), n_before):
+            row = []
+            for lid in range(oracle.alphabet.n_letters):
+                k2 = oracle.apply_letter(keys[eid], lid)
+                tid = ids.get(k2)
+                if tid is None:
+                    tid = ids[k2] = len(keys)
+                    keys.append(k2)
+                    dist.append(d + 1)
+                    trans.append(None)
+                    preds.append([(eid, lid)])
+                elif dist[tid] == d + 1:
+                    preds[tid].append((eid, lid))
+                row.append(tid)
+            trans[eid] = tuple(row)
+        sizes.append(len(keys) - n_before)
+    return keys, ids, dist, trans, preds, sizes
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("wise", 5), ("g2", 6), ("z2_abcd", 6), ("z2_ab", 6), ("f2", 5),
+])
+def test_compact_ball_equals_tuple_key_bfs(name, radius, request):
+    group = request.getfixturevalue(name)
+    keys, ids, dist, trans, preds, sizes = tuple_key_ball(group, radius)
+    ball = build_ball(group, radius)
+    assert [ball.key(eid) for eid in range(len(ball))] == keys
+    assert {key: ball.id_of(key) for key in keys} == ids
+    assert list(ball.dist) == dist
+    assert ball.trans == trans
+    assert [links_of(ball, eid) for eid in range(len(ball))] == preds
+    assert ball.sphere_sizes == sizes
+
+
+@pytest.mark.parametrize("name", ["wise", "g2"])
+def test_word_keys_one_sphere_in_and_one_out(name, request):
+    group = request.getfixturevalue(name)
+    ball = build_ball(group, 3)
+    known = set(tuple_key_ball(group, 3)[0])
+    inside, outside = [], []
+    for w in enumerate_words(group.alphabet, 4):
+        key = group.evaluate(w)
+        (inside if key in known else outside).append(key)
+    assert inside and outside
+    for key in inside:
+        assert key in ball and ball.key(ball.id_of(key)) == key
+    for key in outside:
+        assert key not in ball
+        with pytest.raises(OutOfBallError):
+            ball.id_of(key)
+    assert 5 not in ball and () not in ball
+    found = [locate(ball, key) for key in outside]
+    assert ball.radius == 4
+    assert [ball.key(eid) for eid in found] == outside
+    assert all(ball.dist[eid] == 4 for eid in found)
+
+
+@pytest.mark.parametrize("name", ["wise", "g2"])
+def test_cap_rollback_then_extension_equals_fresh_build(name, request):
+    group = request.getfixturevalue(name)
+    ball = build_ball(group, 1, mem_cap=150)
+    with pytest.raises(BallCapError) as err:
+        extend_ball(ball, 5)
+    reached = err.value.radius_reached
+    assert _ball_state(ball) == _ball_state(build_ball(group, reached))
+    ball.mem_cap = 10**6
+    extend_ball(ball, 4)
+    assert _ball_state(ball) == _ball_state(build_ball(group, 4))
+
+
+def test_radius_above_255(z2_ab):
+    ball = build_ball(z2_ab, 256)
+    assert ball.sphere_sizes == [1] + [4 * n for n in range(1, 257)]
+    assert max(ball.dist) == 256
+    far = ball.id_of(z2_ab.evaluate(parse_word(z2_ab.alphabet, "a" * 256)))
+    assert ball.dist[far] == 256 and ball.label(far) == "a" * 256
+    assert ball.geodesic_count(far) == 1

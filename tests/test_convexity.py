@@ -353,17 +353,25 @@ def test_fftp_length_20(name, expected, request):
     assert report.to_dict() == expected
 
 
-@pytest.mark.parametrize("name,max_len", [("z2_ab", 8), ("z2_abcd", 6)])
-def test_fftp_count_matches_per_word_scores(name, max_len, request):
+@pytest.mark.parametrize("name,max_len,k_cap,reduced", [
+    pytest.param("z2_ab", 8, 6, True, id="z2_ab-8"),
+    pytest.param("z2_abcd", 6, 6, True, id="z2_abcd-6"),
+    # k_cap leaves words unresolved, so their subtrees are walked and listed
+    pytest.param("z2_abcd", 3, 1, True, id="z2_abcd-3-cap1"),
+    pytest.param("wise", 4, 2, True, id="wise-4-cap2"),
+    pytest.param("f2", 5, 1, False, id="f2-5-cap1-unreduced"),
+])
+def test_fftp_count_matches_per_word_scores(name, max_len, k_cap, reduced, request):
     # the automaton's counts against the per-word scorer over every word
     group = request.getfixturevalue(name)
-    ctx = _FftpContext(build_ball(group, 0), max_len, 6, True)
+    ctx = _FftpContext(build_ball(group, 0), max_len, k_cap, reduced)
     letters = range(ctx.n_letters)
     counted = cx._merge_partials(parallel.run_tasks(cx._fftp_worker, letters, ctx, 1))
-    words = [w.ids for w in enumerate_words(group.alphabet, max_len)][1:]
+    words = [w.ids for w in enumerate_words(group.alphabet, max_len, reduced)][1:]
     scored = cx._merge_partials([cx._score_words(ctx, words)])
     assert counted == scored
     assert scored["total"] == len(words) and scored["hist"]
+    assert bool(scored["unresolved"]) == (k_cap < 6)
     # shortlex order: the witness of a minimum is the first word scored with it
     for m, w in scored["witness"].items():
         assert w == next(ids for ids in words if cx._score_words(ctx, [ids])["hist"] == {m: 1})
@@ -538,6 +546,11 @@ if sys.argv[1] == "fftp":
 
     cx._FftpContext.companion = corrupt
     cx.fftp_search(build_ball(preset("z2_ab"), 4), max_len=4, k_cap=6)
+elif sys.argv[1] == "table":
+    import hnnkit.subgroups as sg
+    # every element its own representative: a valid split, but not constant on cosets
+    sg.SubgroupOracle.coset_rep_left = lambda self, key: key
+    build_ball(preset("wise"), 2)
 elif sys.argv[1] == "hnn":
     import hnnkit.hnn as hnn
     real = hnn.Alphabet.make
@@ -553,7 +566,7 @@ else:
 
 @pytest.mark.parametrize("engine,message", [
     ("fftp", "fails re-verification"), ("ac", "misses its endpoint"),
-    ("hnn", "changes its letter ids"),
+    ("hnn", "changes its letter ids"), ("table", "coset representative is not canonical"),
 ])
 def test_self_checks_survive_optimize_flag(engine, message):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

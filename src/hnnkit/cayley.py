@@ -140,12 +140,6 @@ class BallIndex:
         start = sum(self.sphere_sizes[:n])
         return range(start, start + self.sphere_sizes[n])
 
-    def neighbors(self, eid: int) -> tuple[int, ...]:
-        row = self.trans[eid]
-        if row is None:
-            raise OutOfBallError(self.dist[eid] + 1, self.radius)
-        return row
-
     # -- geodesic machinery -------------------------------------------------
 
     def shortlex_geodesic(self, eid: int) -> Word:

@@ -4,10 +4,12 @@ Both engines run over a BallIndex and report exact, reproducible results.
 
 The almost-convexity profiler enumerates every pair of same-sphere elements
 at distance at most 2 (via one- and two-letter products, never all pairs)
-and measures the shortest connecting path that stays inside the ball.  Per
-sphere S(N) it maps near pairs, which gamma (a shortest word between the
-two) joins inside B(N), and far pairs, whose midpoints all lie on S(N+1)
-and whose inside path comes from a BFS; every path is walked again.
+and measures the shortest connecting path that stays inside the ball.  It
+visits each g on S(N) once, with one map from the h > g paired with it to
+their path: an edge or two letters through a midpoint in B(N) for near
+pairs, a BFS inside B(N) for far pairs, whose midpoints all lie on S(N+1)
+and are read off predecessor links.  Every path is walked again, and the
+map is dropped once g is done, so nothing is kept per pair.
 
 The FFTP searcher works in relative coordinates: while scanning a word w and
 a candidate companion v in lockstep, the only thing that matters is the
@@ -184,37 +186,33 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     report = AcReport(n_max)
     for n in range(1, n_max + 1):
-        # same-sphere pairs (g, h), g < h -> gamma; near: an edge, or two
-        # letters through a midpoint in B(n); far: the rest
-        near: dict[tuple[int, int], tuple[int, ...]] = {}
-        far: dict[tuple[int, int], tuple[int, ...]] = {}
+        d1 = d2 = c = 0
+        best = None  # (g, h, path) of the smallest pair with the longest path
         for g in ball.sphere(n):
+            # h > g on S(n) -> path inside B(n): an edge, two letters through
+            # a midpoint in B(n), else (all midpoints on S(n+1)) a BFS path
+            paths: dict[int, tuple[int, ...]] = {}
             row = trans[g]
             for lid, m in enumerate(row):
                 if m > g and dist[m] == n:
-                    near.setdefault((g, m), (lid,))
+                    paths.setdefault(m, (lid,))
+            edges = len(paths)
             for l1, m in enumerate(row):
                 if dist[m] <= n:
                     for l2, h in enumerate(trans[m]):
                         if h > g and dist[h] == n:
-                            near.setdefault((g, h), (l1, l2))
-        # far pairs come straight off their midpoints' predecessor links
-        for m in ball.sphere(n + 1):
-            links = range(start[m], start[m + 1])
-            if len(links) < 2:
-                continue
-            for i in links:
-                g = src[i]
-                for j in links:
-                    h = src[j]
-                    if h > g and (g, h) not in near:
-                        far.setdefault((g, h), (letter[i], letter[j] ^ 1))
-        d1 = sum(len(gamma) == 1 for gamma in near.values())
-        rec = AcRadiusRecord(n, 0, d1, len(near) + len(far) - d1)
-        best = None  # (g, h, gamma, path) of the smallest pair with the longest path
-        for pairs, inside in ((near, None), (far, _inside_bfs)):
-            for (g, h), gamma in pairs.items():
-                path = gamma if inside is None else tuple(inside(ball, n, g, h))
+                            paths.setdefault(h, (l1, l2))
+            # far pairs come off the predecessor links of g's upper
+            # neighbours; a neighbour with one link (g's) gives none
+            for m in row:
+                if dist[m] > n and start[m + 1] - start[m] > 1:
+                    for k in range(start[m], start[m + 1]):
+                        h = src[k]
+                        if h > g and h not in paths:
+                            paths[h] = tuple(_inside_bfs(ball, n, g, h))
+            d1 += edges
+            d2 += len(paths) - edges
+            for h, path in paths.items():
                 # re-check the witness path really stays inside B(n)
                 v = g
                 for lid in path:
@@ -223,11 +221,17 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
                         raise AssertionError("witness path leaves the ball")
                 if v != h:
                     raise AssertionError("witness path misses its endpoint")
-                if len(path) > rec.c or len(path) == rec.c and (g, h) < best[:2]:
-                    rec.c = len(path)
-                    best = (g, h, gamma, path)
+                if len(path) > c or len(path) == c and (g, h) < best[:2]:
+                    c, best = len(path), (g, h, path)
+        rec = AcRadiusRecord(n, c, d1, d2)
         if best is not None:
-            g, h, gamma, path = best
+            g, h, path = best
+            gamma = path  # a near pair's path is a shortest word between g and h
+            if len(path) > 2:  # a far pair: two letters through the least common midpoint
+                m = min(m for m in trans[g] if dist[m] > n and m in trans[h])
+                links = range(start[m], start[m + 1])
+                gamma = (next(letter[k] for k in links if src[k] == g),
+                         next(letter[k] ^ 1 for k in links if src[k] == h))
             rec.witness_g, rec.witness_h = ball.label(g), ball.label(h)
             rec.witness_gamma = format_word(Word(ball.oracle.alphabet, gamma))
             rec.witness_path = format_word(Word(ball.oracle.alphabet, path))
@@ -465,7 +469,8 @@ def _count_subtree(ctx: _FftpContext, first: int, cap: int, geodesic: list[int])
 
     A bucket holds the count and the least word of one (state, last letter).
     missing counts the non-geodesic words with no companion within cap;
-    below k_cap the count stops at the first length that has any.
+    the count stops at the first length that has any, since the caller
+    then drops these tallies.
     """
     partial = dict(_new_partial(), geodesic=sum(geodesic))
     buckets = {(ctx.start, first): (1, (first,))}
@@ -491,7 +496,7 @@ def _count_subtree(ctx: _FftpContext, first: int, cap: int, geodesic: list[int])
                 missing += count
             else:
                 _tally(partial, m, count, ids)
-        if missing and cap < ctx.k_cap:
+        if missing:
             break
     return partial, missing
 

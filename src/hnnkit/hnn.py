@@ -210,12 +210,6 @@ class HnnSpec(BaseGroupOracle):
                 ids.append(self.stable_letter_id(i, eps))
         return Word(self.alphabet, tuple(ids))
 
-    def lift_base_word(self, w: Word) -> Word:
-        """The same base word, viewed over the full alphabet."""
-        if w.alphabet != self.base.alphabet:
-            raise ValueError("expected a word over the base alphabet")
-        return Word(self.alphabet, w.ids)
-
     def key_table(self) -> "HnnKeyTable":
         """A fresh table of compact keys, for one ball."""
         return HnnKeyTable(self)
@@ -363,10 +357,6 @@ class NormalForm:
         return hash(self.key)
 
     @property
-    def base_segments(self) -> tuple:
-        return self.key[0::2]
-
-    @property
     def stable_markers(self) -> tuple:
         return self.key[1::2]
 
@@ -439,18 +429,19 @@ def stable_letter_signature(nf: NormalForm) -> tuple[tuple[str, int], ...]:
 
 # -- isometric verification ----------------------------------------------------
 
+MAX_WITNESSES = 8  # witnesses kept per condition; witness_count counts them all
+
 
 @dataclass
 class ConditionReport:
     passed: bool
     witnesses: list = field(default_factory=list)
     witness_count: int = 0
-    max_witnesses: int = 8
 
     def fail(self, witness: str):
         self.passed = False
         self.witness_count += 1
-        if len(self.witnesses) < self.max_witnesses:
+        if len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(witness)
 
 

@@ -35,9 +35,6 @@ class Letter:
     generator: Generator
     sign: int
 
-    def inverse(self) -> "Letter":
-        return Letter(self.generator, -self.sign)
-
     def __str__(self) -> str:
         return _letter_str(self.generator.name, self.sign)
 

@@ -386,7 +386,8 @@ def test_fftp_k_cap_unresolved_reporting(z2_abcd, z2_abcd_ball9):
 
 
 def _naive_ac_constants(oracle, n_max):
-    """Independent C(N) computation: dict BFS, all-pairs scan, plain BFS paths."""
+    """Independent C(N) and same-sphere pair counts at distance 1 and 2:
+    dict BFS, all-pairs scan, plain BFS paths.  Maps N -> (C, pairs_d1, pairs_d2)."""
     from collections import deque
 
     dist = {oracle.identity_key(): 0}
@@ -408,11 +409,13 @@ def _naive_ac_constants(oracle, n_max):
     for n in range(1, n_max + 1):
         sphere = [k for k, d in dist.items() if d == n]
         c_n = 0
+        counts = {1: 0, 2: 0}
         for i, g in enumerate(sphere):
             for h in sphere[i + 1 :]:
                 d_gh = pair_distance(g, h)
                 if d_gh is None or d_gh > 2:
                     continue
+                counts[d_gh] += 1
                 # unidirectional BFS inside B(n)
                 seen = {g: 0}
                 queue = deque([g])
@@ -430,18 +433,17 @@ def _naive_ac_constants(oracle, n_max):
                         queue.append(w)
                 assert found is not None
                 c_n = max(c_n, found)
-        out[n] = c_n
+        out[n] = (c_n, counts[1], counts[2])
     return out
 
 
-def test_ac_profile_against_naive_all_pairs(z2_abcd, z2_abcd_ball9, wise):
-    naive = _naive_ac_constants(z2_abcd, 5)
-    report = ac_profile(z2_abcd_ball9, 5)
-    assert {r.radius: r.c for r in report.records} == naive
-    naive_w = _naive_ac_constants(wise, 3)
-    wball = build_ball(wise, 4)
-    report_w = ac_profile(wball, 3)
-    assert {r.radius: r.c for r in report_w.records} == naive_w
+def test_ac_profile_against_naive_all_pairs(z2_abcd, z2_abcd_ball9, wise, g2):
+    # g2 is the one with far pairs (every midpoint on S(N+1)) at these radii
+    for oracle, ball, n_max in ((z2_abcd, z2_abcd_ball9, 5), (wise, build_ball(wise, 4), 3),
+                                (g2, build_ball(g2, 4), 3)):
+        report = ac_profile(ball, n_max)
+        assert {r.radius: (r.c, r.pairs_d1, r.pairs_d2) for r in report.records} == \
+            _naive_ac_constants(oracle, n_max)
 
 
 # whole ac_profile reports pinned from an earlier version, one row per record:

@@ -99,6 +99,8 @@ class BallIndex:
         self.table = oracle.key_table()
         self.radius = 0
         self.mem_cap = default_mem_cap() if mem_cap is None else mem_cap
+        if self.mem_cap < 1:
+            raise ValueError("mem_cap must be >= 1")
         ident = self.table.identity
         self.codes: list = [ident]
         self.code_ids: dict = {ident: 0}

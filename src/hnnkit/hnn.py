@@ -15,9 +15,12 @@ the image of u across the stable letter.  The result is the unique normal
 form: two words represent the same group element iff they fold to equal
 keys.
 
-Cayley balls do not fold tuples: a ball's HnnKeyTable interns segments and
-key prefixes as ints and runs the same pinch and split code once per base
-segment and letter.
+Both the word fold and the key tables read one split memo per spec: a bounded
+map from (base segment, stable letter) to the split (r, image).  The pinch is
+derived from it: the segment lies in the crossed subgroup exactly when r is
+the identity, and then the image is what the pinch carries across.  Cayley
+balls do not fold tuples: a ball's HnnKeyTable interns segments and key
+prefixes as ints and reads each base segment's splits once per letter.
 """
 
 from __future__ import annotations
@@ -29,6 +32,13 @@ from typing import Optional, Sequence
 from .base_groups import BaseGroupOracle, base_geodesic_length
 from .subgroups import SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
+
+# Splits a spec keeps before it drops them all and starts over.  Long words
+# fold their stable letters onto few distinct (segment, letter) pairs: 2,000
+# random words of length 200 cross about 500,000 stable letters but only
+# 7,300 pairs on wise and 21,000 on g2.  A bound of 1 << 16 folded them at
+# most 4 % faster and held 8 MB more.
+_SPLIT_MEMO_SIZE = 1 << 12
 
 
 class AssociatedPair:
@@ -42,13 +52,6 @@ class AssociatedPair:
             )
         self.u = u
         self.v = v
-
-    def phi(self, key):
-        """Image in V of an element of U, or None if not a member."""
-        return self.u.image(key, self.v)
-
-    def phi_inv(self, key):
-        return self.v.image(key, self.u)
 
 
 class HnnSpec(BaseGroupOracle):
@@ -68,6 +71,15 @@ class HnnSpec(BaseGroupOracle):
         for g, h in zip(base.alphabet.generators, self.alphabet.generators):
             if (g.name, g.index) != (h.name, h.index):
                 raise AssertionError(f"base generator {g.name!r} changes its letter ids")
+        # the fold reads a pinch off the split: r is the identity exactly on
+        # the crossed subgroup, which needs the identity to represent it
+        self._base_identity = ident = base.identity_key()
+        for i, pair in enumerate(self.pairs):
+            for side, sub in (("U", pair.u), ("V", pair.v)):
+                if sub.coset_rep_left(ident) != ident:
+                    raise ValueError(f"pair {i} {side}: the coset representative of "
+                                     "the subgroup itself is not the identity")
+        self._splits: dict = {}  # (segment, pair index, sign) -> (r, image)
         self.relators = tuple(self._make_relators())
 
     def _make_relators(self) -> list[Word]:
@@ -97,29 +109,31 @@ class HnnSpec(BaseGroupOracle):
     def _append_base_key(self, segs: list, bkey):
         segs[-1] = self.base.mult_key(segs[-1], bkey)
 
-    def _pinch_image(self, tail, i: int, eps: int):
-        """The image of tail across s_i^eps if tail is in the subgroup it crosses, else None."""
-        pair = self.pairs[i]
-        return pair.phi(tail) if eps > 0 else pair.phi_inv(tail)
-
     def _split(self, tail, i: int, eps: int):
-        """(r, img): tail = r * u with r its left coset representative, img the image of u."""
-        sub = self.pairs[i].u if eps > 0 else self.pairs[i].v
-        r = sub.coset_rep_left(tail)
-        img = self._pinch_image(self.base.mult_key(self.base.inv_key(r), tail), i, eps)
-        if img is None:
-            raise AssertionError("coset split produced a non-member factor")
-        return r, img
+        """(r, img): tail = r * u with r its left coset representative, img the image
+        of u across s_i^eps.  tail is in the crossed subgroup iff r is the identity."""
+        memo_key = (tail, i, eps)
+        split = self._splits.get(memo_key)
+        if split is None:
+            pair = self.pairs[i]
+            sub, target = (pair.u, pair.v) if eps > 0 else (pair.v, pair.u)
+            r = sub.coset_rep_left(tail)
+            img = sub.image(self.base.mult_key(self.base.inv_key(r), tail), target)
+            if img is None:
+                raise AssertionError("coset split produced a non-member factor")
+            if len(self._splits) >= _SPLIT_MEMO_SIZE:
+                self._splits.clear()
+            split = self._splits[memo_key] = (r, img)
+        return split
 
     def _append_stable(self, segs: list, i: int, eps: int):
-        if len(segs) >= 3 and segs[-2] == (i, -eps):
-            img = self._pinch_image(segs[-1], i, eps)
-            if img is not None:
-                segs.pop()
-                segs.pop()
-                segs[-1] = self.base.mult_key(segs[-1], img)
-                return
-        segs[-1], img = self._split(segs[-1], i, eps)
+        r, img = self._split(segs[-1], i, eps)
+        if r == self._base_identity and len(segs) >= 3 and segs[-2] == (i, -eps):
+            segs.pop()
+            segs.pop()
+            segs[-1] = self.base.mult_key(segs[-1], img)
+            return
+        segs[-1] = r
         segs.append((i, eps))
         segs.append(img)
 
@@ -229,12 +243,11 @@ class HnnKeyTable:
     element's code is segment id << 31 | prefix id; the prefix id takes the
     low bits, which spread the codes over a dict's slots.
 
-    A segment's moves are computed once, by the fold's own pinch and split
-    code: per base letter the next segment, per stable letter the split
-    (r, image) and the pinch image (-1 if the segment is not in the crossed
-    subgroup).  A BFS step is then a memo lookup plus at most one prefix
-    lookup.  The table belongs to the ball that made it, so the word
-    functions never grow it.
+    A segment's moves are computed once, from the fold's own split memo: per
+    base letter the next segment, per stable letter the split (r, image) and
+    the pinch image (the image if r is the identity, else -1).  A BFS step
+    is then a memo lookup plus at most one prefix lookup.  The table belongs
+    to the ball that made it, so the word functions never grow it.
     """
 
     def __init__(self, spec: HnnSpec):
@@ -284,11 +297,10 @@ class HnnKeyTable:
             sub, gen = self._crossed[lid]
             if sub.coset_rep_left(r) != r or sub.coset_rep_left(spec.base.mult_key(r, gen)) != r:
                 raise AssertionError("coset representative is not canonical")
-            pinch = spec._pinch_image(g, i, eps)
-            r = self._segment(r)
+            pinch = r == spec._base_identity
+            r, img = self._segment(r), self._segment(img)
             stable_moves.append((lid, r, self._pushes.setdefault((r, lid), {}),
-                                 self._segment(img) << _PREFIX_BITS,
-                                 -1 if pinch is None else self._segment(pinch)))
+                                 img << _PREFIX_BITS, img if pinch else -1))
         moves = self._moves[sid] = (base_moves, tuple(stable_moves))
         return moves
 

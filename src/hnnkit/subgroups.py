@@ -7,7 +7,8 @@ A subgroup oracle answers two questions about its base group:
     answer is a SubgroupWord, a tuple of (generator index, sign) pairs whose
     expansion through the generator words evaluates back to the element.
   * coset_rep(key): a canonical representative of the right coset (sub)*g,
-    constant on cosets and idempotent on representatives.
+    constant on cosets, idempotent on representatives, and the identity on
+    the subgroup itself.
 
 image(key, target) maps a member onto a subgroup with matched generator
 words, generator by generator; this is the isomorphism of an HNN pair.
@@ -80,7 +81,12 @@ class SubgroupOracle:
         return self.membership_with_rewrite(key) is not None
 
     def coset_rep(self, key):
-        """Canonical representative r of the right coset (sub)*g; g = u*r."""
+        """Canonical representative r of the right coset (sub)*g; g = u*r.
+
+        The subgroup's own coset must be represented by the identity, so
+        coset_rep(identity) is the identity; HnnSpec rejects an oracle that
+        breaks this, because its fold reads membership off the representative.
+        """
         raise NotImplementedError
 
     def coset_rep_left(self, key):

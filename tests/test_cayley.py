@@ -207,6 +207,19 @@ def test_mem_cap_keeps_the_last_complete_sphere(z2_abcd):
         extend_ball(ball, reached + 1)
 
 
+def test_mem_cap_below_one_is_rejected(z2_abcd, monkeypatch):
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="mem_cap must be >= 1"):
+            build_ball(z2_abcd, 2, mem_cap=cap)
+    monkeypatch.setenv("HNNKIT_MEM_CAP", "0")
+    with pytest.raises(ValueError, match="mem_cap must be >= 1"):
+        build_ball(z2_abcd, 2)
+    # a cap of 1 holds the identity alone
+    assert len(build_ball(z2_abcd, 0, mem_cap=1)) == 1
+    with pytest.raises(BallCapError):
+        build_ball(z2_abcd, 1, mem_cap=1)
+
+
 def test_mem_cap_env_var_reaches_library_builds(z2_abcd, monkeypatch):
     monkeypatch.setenv("HNNKIT_MEM_CAP", "50")
     with pytest.raises(BallCapError) as err:

@@ -63,6 +63,20 @@ def test_ball_mem_cap_exit_code(capsys):
     assert "resource error" in err
 
 
+def test_mem_cap_below_one_is_a_usage_error(capsys, monkeypatch):
+    for cap in ("-5", "0"):
+        rc, out, err = run(capsys, "ball", "--preset", "wise", "-N", "2", "--mem-cap", cap)
+        assert rc == 2 and out == ""
+        assert "error: mem_cap must be >= 1" in err and "resource error" not in err
+    monkeypatch.setenv("HNNKIT_MEM_CAP", "0")
+    rc, _, err = run(capsys, "ac", "--preset", "z2_ab", "-N", "2")
+    assert rc == 2
+    assert "error: mem_cap must be >= 1" in err
+    monkeypatch.delenv("HNNKIT_MEM_CAP")
+    rc, out, _ = run(capsys, "ball", "--preset", "wise", "-N", "0", "--mem-cap", "1")
+    assert rc == 0 and out
+
+
 def test_ac_json(capsys):
     rc, out, _ = run(capsys, "ac", "--preset", "z2_ab", "-N", "4", "--format", "json",
                      "--fftp-k", "2")

@@ -559,6 +559,16 @@ elif sys.argv[1] == "hnn":
     # the full alphabet lists the base generators in reverse, so their ids move
     hnn.Alphabet.make = lambda base, stable=(): real(base[::-1] if stable else base, stable)
     preset("g2")
+elif sys.argv[1] == "reps":
+    from hnnkit import AssociatedPair, HnnSpec
+    from hnnkit.base_groups import abelian_from_presentation
+    from hnnkit.subgroups import cyclic_subgroup
+    from hnnkit.words import parse_word
+    z2 = abelian_from_presentation(["a", "b"], [])
+    sub = cyclic_subgroup(z2, parse_word(z2.alphabet, "a"))
+    # (1, y) represents the coset of (x, y): one per coset, but <a> is not represented by 0
+    sub.coset_rep = lambda key: z2._norm([1, key[1]])
+    HnnSpec(z2, ["s"], [AssociatedPair(sub, sub)])
 else:
     real = cx._inside_bfs
     cx._inside_bfs = lambda *args: real(*args)[:-1]  # path misses its endpoint
@@ -569,11 +579,13 @@ else:
 @pytest.mark.parametrize("engine,message", [
     ("fftp", "fails re-verification"), ("ac", "misses its endpoint"),
     ("hnn", "changes its letter ids"), ("table", "coset representative is not canonical"),
+    ("reps", "the coset representative of the subgroup itself is not the identity"),
 ])
 def test_self_checks_survive_optimize_flag(engine, message):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT, engine],
                           capture_output=True, text=True, env=env, timeout=120)
+    error = "ValueError" if engine == "reps" else "AssertionError"  # a load-time check
     assert proc.returncode == 1, proc.stderr
-    assert "AssertionError" in proc.stderr and message in proc.stderr, proc.stderr
+    assert error in proc.stderr and message in proc.stderr, proc.stderr

@@ -1,7 +1,15 @@
+import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hnnkit import hnn
 from hnnkit.base_groups import abelian_from_presentation
 from hnnkit.hnn import (
+    AssociatedPair,
+    HnnSpec,
     britton_reduce,
     find_pinch,
     invert_el,
@@ -10,7 +18,9 @@ from hnnkit.hnn import (
     stable_letter_signature,
     verify_isometric,
 )
+from hnnkit.presets import preset
 from hnnkit.specfile import load_spec_text
+from hnnkit.subgroups import CyclicSubgroup, cyclic_subgroup
 from hnnkit.words import Word, format_word, free_reduce, invert, parse_word
 
 
@@ -199,3 +209,86 @@ def test_verify_isometric_broken_fixture_witnesses():
     assert any("c'c'" in w or "cc" in w for w in report.geodesic.witnesses)
     assert report.geodesic.witnesses and report.totally_geodesic.witnesses
     assert not report.passed
+
+
+def reference_fold(spec, ids):
+    """The normal-form key of a word, folded without the split memo: a stable
+    letter pinches if the segment before it is in the crossed subgroup, else
+    splits that segment along the subgroup's left cosets."""
+    base = spec.base
+    segs = [base.identity_key()]
+    for lid in ids:
+        if lid < spec.n_base_letters:
+            segs[-1] = base.apply_letter(segs[-1], lid)
+            continue
+        i, eps = spec.stable_of_letter(lid)
+        pair = spec.pairs[i]
+        sub, target = (pair.u, pair.v) if eps > 0 else (pair.v, pair.u)
+        if len(segs) >= 3 and segs[-2] == (i, -eps):
+            img = sub.image(segs[-1], target)
+            if img is not None:
+                segs.pop()
+                segs.pop()
+                segs[-1] = base.mult_key(segs[-1], img)
+                continue
+        r = sub.coset_rep_left(segs[-1])
+        img = sub.image(base.mult_key(base.inv_key(r), segs[-1]), target)
+        segs[-1:] = [r, (i, eps), img]
+    return tuple(segs)
+
+
+def inverse_ids(ids):
+    return tuple(lid ^ 1 for lid in reversed(ids))
+
+
+@pytest.mark.parametrize("name", ["wise", "g2"])
+def test_split_memo_matches_the_reference_fold(name, monkeypatch):
+    monkeypatch.setattr(hnn, "_SPLIT_MEMO_SIZE", 8)
+    spec = preset(name)  # a fresh spec, so its memo starts empty
+    n = spec.alphabet.n_letters
+    rng = random.Random(14)
+    words = [ids for k in range(5) for ids in itertools.product(range(n), repeat=k)]
+    words += [tuple(rng.randrange(n) for _ in range(200)) for _ in range(30)]
+    prev, y = (), normal_form(spec, Word(spec.alphabet, ()))
+    for ids in words:
+        x = normal_form(spec, Word(spec.alphabet, ids))
+        assert x.key == reference_fold(spec, ids)
+        assert invert_el(spec, x).key == reference_fold(spec, inverse_ids(ids))
+        assert multiply(spec, y, x).key == reference_fold(spec, prev + ids)
+        assert len(spec._splits) <= 8
+        prev, y = ids, x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_properties(wise, g2, data):
+    spec = data.draw(st.sampled_from([wise, g2]))
+    ids = tuple(data.draw(st.lists(st.integers(0, spec.alphabet.n_letters - 1), max_size=40)))
+    rel = data.draw(st.sampled_from(spec.relators)).ids
+    if data.draw(st.booleans()):
+        rel = inverse_ids(rel)
+    pos = data.draw(st.integers(0, len(ids)))
+    x = normal_form(spec, Word(spec.alphabet, ids))
+    assert x.key == reference_fold(spec, ids)
+    assert normal_form(spec, Word(spec.alphabet, ids[:pos] + rel + ids[pos:])) == x
+    assert multiply(spec, x, invert_el(spec, x)).is_identity()
+
+
+class OffsetCosetReps(CyclicSubgroup):
+    """<a> in Z^2 with (1, y) representing the coset of (x, y): constant on
+    cosets and idempotent, but the subgroup's own coset is not the identity."""
+
+    def coset_rep(self, key):
+        return self.base._norm([1, key[1]])
+
+
+def test_spec_rejects_a_subgroup_not_represented_by_the_identity():
+    z2 = abelian_from_presentation(["a", "b"], [])
+    a = parse_word(z2.alphabet, "a")
+    odd = OffsetCosetReps(z2, a)
+    assert odd.coset_rep(z2.evaluate(parse_word(z2.alphabet, "aab"))) == (1, 1)
+    for pair in (AssociatedPair(odd, cyclic_subgroup(z2, a)),
+                 AssociatedPair(cyclic_subgroup(z2, a), odd)):
+        with pytest.raises(ValueError, match="is not the identity"):
+            HnnSpec(z2, ["s"], [pair])
+    HnnSpec(z2, ["s"], [AssociatedPair(cyclic_subgroup(z2, a), cyclic_subgroup(z2, a))])

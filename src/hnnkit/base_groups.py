@@ -70,6 +70,160 @@ class BaseGroupOracle:
         return OracleKeys(self)
 
 
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _gcdex(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0.
+
+    The Euclidean recurrence on |a|, |b| with the signs put back afterwards,
+    so the coefficients (and hence the Smith transforms) are those of
+    sympy's integer ``gcdex``.
+    """
+    if not a or not b:
+        g = abs(a) or abs(b)
+        return (a // g, b // g, g) if g else (0, 0, 0)
+    sa, a = (-1, -a) if a < 0 else (1, a)
+    sb, b = (-1, -b) if b < 0 else (1, b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return x * sa, y * sb, a
+
+
+def _add_rows(m: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    # rows i, j := a*row_i + b*row_j, c*row_i + d*row_j
+    ri, rj = m[i], m[j]
+    for k in range(len(ri)):
+        e = ri[k]
+        ri[k] = a * e + b * rj[k]
+        rj[k] = c * e + d * rj[k]
+
+
+def _add_columns(m: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    # columns i, j := a*col_i + b*col_j, c*col_i + d*col_j
+    for row in m:
+        e = row[i]
+        row[i] = a * e + b * row[j]
+        row[j] = c * e + d * row[j]
+
+
+def _smith_decomp(m: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Smith decomposition of a nonempty integer matrix, modified in place.
+
+    Returns (invariants, S, T), S and T unimodular, with S*M*T the matrix
+    whose diagonal is the invariants and whose other entries are 0.  The
+    steps, and so S and T, are those of sympy 1.14's ``_smith_normal_decomp``
+    over ZZ: pivot search, row then column clearing by ``_gcdex``, a
+    nonnegative pivot, recursion on the lower-right block, the divisibility
+    fix-up, and zero pivots rotated to the end.
+    """
+    rows, cols = len(m), len(m[0])
+    s, t = _eye(rows), _eye(cols)
+
+    # bring a nonzero entry of the first column, else of the first row, to m[0][0]
+    if not m[0][0]:
+        i = next((i for i in range(rows) if m[i][0]), None)
+        if i is not None:
+            m[0], m[i] = m[i], m[0]
+            s[0], s[i] = s[i], s[0]
+        else:
+            j = next((j for j in range(cols) if m[0][j]), None)
+            if j is not None:
+                for mat in (m, t):
+                    for row in mat:
+                        row[0], row[j] = row[j], row[0]
+
+    while any(m[0][1:]) or any(m[i][0] for i in range(1, rows)):
+        pivot = m[0][0]
+        for j in range(1, rows):
+            if not m[j][0]:
+                continue
+            q, r = divmod(m[j][0], pivot)
+            if not r:
+                op = (1, 0, -q, 1)
+            else:
+                a, b, g = _gcdex(pivot, m[j][0])
+                op = (a, b, m[j][0] // g, -(pivot // g))
+                pivot = g
+            _add_rows(m, 0, j, *op)
+            _add_rows(s, 0, j, *op)
+        pivot = m[0][0]
+        for j in range(1, cols):
+            if not m[0][j]:
+                continue
+            q, r = divmod(m[0][j], pivot)
+            if not r:
+                op = (1, 0, -q, 1)
+            else:
+                a, b, g = _gcdex(pivot, m[0][j])
+                op = (a, b, m[0][j] // g, -(pivot // g))
+                pivot = g
+            _add_columns(m, 0, j, *op)
+            _add_columns(t, 0, j, *op)
+
+    if m[0][0] < 0:
+        m[0][0] = -m[0][0]
+        s[0] = [-x for x in s[0]]
+
+    invs: list[int] = []
+    if rows > 1 and cols > 1:
+        invs, s_small, t_small = _smith_decomp([r[1:] for r in m[1:]])
+        s = _matmul([[1] + [0] * (rows - 1)] + [[0] + r for r in s_small], s)
+        t = _matmul(t, [[1] + [0] * (cols - 1)] + [[0] + r for r in t_small])
+
+    if m[0][0]:
+        result = [m[0][0]] + invs
+        # m[0][0] need not divide the invariants of the lower-right block
+        for i in range(len(result) - 1):
+            a, b = result[i], result[i + 1]
+            if not b or b % a == 0:
+                break
+            x, y, d = _gcdex(a, b)
+            alpha, beta = a // d, b // d
+            _add_rows(s, i, i + 1, 1, 0, x, 1)
+            _add_columns(t, i, i + 1, 1, y, 0, 1)
+            _add_rows(s, i, i + 1, 1, -alpha, 0, 1)
+            _add_columns(t, i, i + 1, 1, 0, -beta, 1)
+            _add_rows(s, i, i + 1, 0, 1, -1, 0)
+            result[i], result[i + 1] = d, b * alpha
+    else:
+        s = s[1:] + s[:1]
+        t = [r[1:] + r[:1] for r in t]
+        result = invs + [0]
+    return result, s, t
+
+
+def _unimodular_inverse(s: list[list[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix, by Gauss-Jordan over Q."""
+    from fractions import Fraction
+
+    n = len(s)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(s)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        aug[c] = [x / piv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    if any(x.denominator != 1 for row in aug for x in row[n:]):
+        raise RuntimeError("Smith decomposition self-check failed: S is not unimodular")
+    return [[int(x) for x in row[n:]] for row in aug]
+
+
 def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):
     """Quotient Z^n_gens by the lattice spanned by relator_vectors.
 
@@ -77,8 +231,13 @@ def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):
     the coordinate tuple of generator i, laid out as free coordinates
     followed by torsion coordinates (one per modulus), and preimages maps a
     coordinate row back to an exponent vector over the generators.
+
+    The coordinates are the rows of S in the Smith decomposition S*M*T = D
+    of the matrix M whose columns are the relator vectors, computed by
+    ``_smith_decomp`` (sympy 1.14's ``_smith_normal_decomp`` step for step),
+    so they are the coordinates sympy's ``smith_normal_decomp`` gives.
     """
-    if not relator_vectors:
+    if not relator_vectors or not n_gens:
         images = []
         for i in range(n_gens):
             v = [0] * n_gens
@@ -87,12 +246,12 @@ def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):
         preimages = {i: tuple(img) for i, img in enumerate(images)}
         return n_gens, (), images, preimages, list(range(n_gens))
 
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_decomp
-
-    m = Matrix([list(v) for v in relator_vectors]).T  # columns = relators
-    d, s, _t = smith_normal_decomp(m)
-    diag = [int(d[i, i]) for i in range(min(d.rows, d.cols))]
+    m = [list(col) for col in zip(*relator_vectors)]  # columns = relators
+    diag, s, t = _smith_decomp([row[:] for row in m])
+    d = _matmul(_matmul(s, m), t)
+    if any(d[i][j] != (diag[i] if i == j else 0)
+           for i in range(len(d)) for j in range(len(d[0]))):
+        raise RuntimeError("Smith decomposition self-check failed: S*M*T != D")
     free_rows = []
     torsion_rows = []
     moduli = []
@@ -107,13 +266,13 @@ def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):
     rows = free_rows + torsion_rows
     images = []
     for g in range(n_gens):
-        col = [int(s[r, g]) for r in rows]
+        col = [s[r][g] for r in rows]
         for j, mod in enumerate(moduli):
             idx = len(free_rows) + j
             col[idx] %= mod
         images.append(tuple(col))
-    s_inv = s.inv()
-    preimages = {r: tuple(int(s_inv[g, r]) for g in range(n_gens)) for r in rows}
+    s_inv = _unimodular_inverse(s)
+    preimages = {r: tuple(s_inv[g][r] for g in range(n_gens)) for r in rows}
     return len(free_rows), tuple(moduli), images, preimages, rows
 
 

@@ -388,10 +388,13 @@ class Pinch:
     rewrite: SubgroupWord
 
 
-def find_pinch(spec: HnnSpec, w: Word) -> Optional[Pinch]:
-    """Leftmost innermost pinch of a freely reduced word, or None."""
+def find_pinch(spec: HnnSpec, w: Word, start: int = 0) -> Optional[Pinch]:
+    """Leftmost innermost pinch of a freely reduced word, or None.
+
+    Only stable letters at position ``start`` or later open a candidate.
+    """
     nb = spec.n_base_letters
-    positions = [(pos, lid) for pos, lid in enumerate(w.ids) if lid >= nb]
+    positions = [(pos, lid) for pos, lid in enumerate(w.ids[start:], start) if lid >= nb]
     for (q, lq), (p, lp) in zip(positions, positions[1:]):
         i, sq = spec.stable_of_letter(lq)
         i2, sp = spec.stable_of_letter(lp)
@@ -410,15 +413,28 @@ def find_pinch(spec: HnnSpec, w: Word) -> Optional[Pinch]:
 def britton_reduce(spec: HnnSpec, w: Word) -> Word:
     """Repeatedly remove pinches until the word is stable letter reduced."""
     w = free_reduce(w)
+    nb = spec.n_base_letters
+    start = 0
     while True:
-        pinch = find_pinch(spec, w)
+        pinch = find_pinch(spec, w, start)
         if pinch is None:
             return w
         pair = spec.pairs[pinch.pair_index]
         target = pair.v if pinch.direction == "s'us" else pair.u
         image = target.expand(pinch.rewrite)
-        ids = w.ids[: pinch.start] + image.ids + w.ids[pinch.end + 1 :]
-        w = free_reduce(Word(spec.alphabet, ids))
+        # free reduction onto the (freely reduced) prefix as a stack; the
+        # prefix's first `kept` letters are left as they were
+        ids = list(w.ids[: pinch.start])
+        kept = len(ids)
+        for lid in image.ids + w.ids[pinch.end + 1 :]:
+            if ids and ids[-1] == lid ^ 1:
+                ids.pop()
+                kept = min(kept, len(ids))
+            else:
+                ids.append(lid)
+        w = Word(spec.alphabet, tuple(ids))
+        # stable pairs closing before `kept` were scanned, unchanged, before this pinch
+        start = next((pos for pos in range(kept - 1, -1, -1) if ids[pos] >= nb), 0)
 
 
 def normal_form(spec: HnnSpec, w: Word) -> NormalForm:

@@ -206,11 +206,17 @@ def build_from_ast(ast: SpecAst, name: str = "") -> Union[HnnSpec, BaseGroupOrac
                     f"stable {st.name}: abelian bases support single-generator "
                     "(cyclic) associated subgroups only"
                 )
-            u_sub = cyclic_subgroup(base, u_words[0])
-            v_sub = cyclic_subgroup(base, v_words[0])
+            try:
+                u_sub = cyclic_subgroup(base, u_words[0])
+                v_sub = cyclic_subgroup(base, v_words[0])
+            except ValueError as e:
+                raise SpecFileError(f"stable {st.name}: {e}") from e
         else:
-            u_sub = stallings_subgroup(base, u_words)
-            v_sub = stallings_subgroup(base, v_words)
+            try:
+                u_sub = stallings_subgroup(base, u_words)
+                v_sub = stallings_subgroup(base, v_words)
+            except ValueError as e:
+                raise SpecFileError(f"stable {st.name}: {e}") from e
             for side, sub in (("u", u_sub), ("v", v_sub)):
                 if sub.rank != len(sub.generator_words):
                     raise SpecFileError(f"stable {st.name}: the {side} words are not a free "

@@ -569,6 +569,16 @@ elif sys.argv[1] == "reps":
     # (1, y) represents the coset of (x, y): one per coset, but <a> is not represented by 0
     sub.coset_rep = lambda key: z2._norm([1, key[1]])
     HnnSpec(z2, ["s"], [AssociatedPair(sub, sub)])
+elif sys.argv[1] == "snf":
+    import hnnkit.base_groups as bg
+    real = bg._smith_decomp
+
+    def corrupt(m):
+        diag, s, t = real(m)
+        return [x + 1 for x in diag], s, t  # invariants that S*M*T does not give
+
+    bg._smith_decomp = corrupt
+    preset("wise")
 else:
     real = cx._inside_bfs
     cx._inside_bfs = lambda *args: real(*args)[:-1]  # path misses its endpoint
@@ -580,12 +590,14 @@ else:
     ("fftp", "fails re-verification"), ("ac", "misses its endpoint"),
     ("hnn", "changes its letter ids"), ("table", "coset representative is not canonical"),
     ("reps", "the coset representative of the subgroup itself is not the identity"),
+    ("snf", "S*M*T != D"),
 ])
 def test_self_checks_survive_optimize_flag(engine, message):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT, engine],
                           capture_output=True, text=True, env=env, timeout=120)
-    error = "ValueError" if engine == "reps" else "AssertionError"  # a load-time check
+    # reps and snf are load-time checks
+    error = {"reps": "ValueError", "snf": "RuntimeError"}.get(engine, "AssertionError")
     assert proc.returncode == 1, proc.stderr
     assert error in proc.stderr and message in proc.stderr, proc.stderr

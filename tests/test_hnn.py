@@ -60,6 +60,53 @@ def test_britton_output_has_no_pinch(wise, g2):
             assert find_pinch(spec, w) is None
 
 
+def reference_britton(spec, w):
+    """Britton reduction searching for each pinch from the start of the word."""
+    w = free_reduce(w)
+    while (pinch := find_pinch(spec, w)) is not None:
+        pair = spec.pairs[pinch.pair_index]
+        target = pair.v if pinch.direction == "s'us" else pair.u
+        image = target.expand(pinch.rewrite)
+        ids = w.ids[: pinch.start] + image.ids + w.ids[pinch.end + 1 :]
+        w = free_reduce(Word(spec.alphabet, ids))
+    return w
+
+
+def pinch_rich_ids(spec, rng, length, depth=2):
+    """Random letters mixed with blocks x' g x, g a product of the crossed
+    subgroup's generators and of smaller blocks, cut to `length` letters."""
+    nb, n = spec.n_base_letters, spec.alphabet.n_letters
+    ids = []
+    while len(ids) < length:
+        if depth == 0 or rng.random() < 0.4:
+            ids.append(rng.randrange(n))
+            continue
+        opening = rng.randrange(nb, n)
+        i, sign = spec.stable_of_letter(opening)
+        sub = spec.pairs[i].u if sign < 0 else spec.pairs[i].v
+        inner = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.7:
+                inner += sub.expand(((rng.randrange(len(sub.generator_words)), rng.choice((1, -1))),)).ids
+            else:
+                inner += pinch_rich_ids(spec, rng, rng.randint(3, 9), depth - 1)
+        ids += [opening] + inner + [opening ^ 1]
+    return tuple(ids[:length])
+
+
+@pytest.mark.parametrize("name", ["wise", "g2"])
+def test_britton_resume_matches_the_full_rescan(name):
+    spec = preset(name)
+    n = spec.alphabet.n_letters
+    rng = random.Random(9)
+    words = [ids for k in range(5) for ids in itertools.product(range(n), repeat=k)]
+    words += [tuple(rng.randrange(n) for _ in range(200)) for _ in range(15)]
+    words += [pinch_rich_ids(spec, rng, 200) for _ in range(15)]
+    for ids in words:
+        w = Word(spec.alphabet, ids)
+        assert britton_reduce(spec, w) == reference_britton(spec, w)
+
+
 def test_normal_form_examples(wise, g2):
     p = lambda s: parse_word(wise.alphabet, s)
     for text in ("c'ab", "c'ba", "d'cc", "s'asd'", "t'btd'"):

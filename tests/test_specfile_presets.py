@@ -128,3 +128,24 @@ stable s {{
                        match=f"stable s: the {side} words are not a free basis "
                              rf"\(they generate a subgroup of rank {rank}\)"):
         build_from_ast(parse_spec_text(text))
+
+
+@pytest.mark.parametrize("kind,relators,u,message", [
+    ("abelian", "relator aa", "a", "torsion cyclic subgroups are not supported"),
+    ("abelian", "relator a", "a", "generator evaluates to the identity"),
+    ("free", "", "abb'a", "subgroup generator word abb'a is not freely reduced"),
+])
+def test_bad_subgroup_generator_is_a_spec_file_error(kind, relators, u, message):
+    text = f"""
+base {{
+  kind = {kind}
+  generators = a b
+  {relators}
+}}
+stable s {{
+  u = [{u}]
+  v = [b]
+}}
+"""
+    with pytest.raises(SpecFileError, match=f"^stable s: .*{message}"):
+        build_from_ast(parse_spec_text(text))

@@ -7,24 +7,29 @@ and V_i acts generator-wise, which is exactly what the subgroup oracles'
 image method provides.
 
 Canonical forms are built by a single left-to-right fold over letters.  The
-working state is an alternating list [g0, (i,e), g1, ..., gl] of base keys
-and signed stable markers.  Appending a stable letter either removes a pinch
+working state is an alternating list [g0, s, g1, ..., gl] of base segments
+and stable letters.  Appending a stable letter either removes a pinch
 (s_i^-1 u s_i with u in U_i, or s_i v s_i^-1 with v in V_i) or splits the
 last segment g = r * u along a left coset of the crossed subgroup, pushing
 the image of u across the stable letter.  The result is the unique normal
 form: two words represent the same group element iff they fold to equal
 keys.
 
-Both the word fold and the key tables read one split memo per spec: a bounded
-map from (base segment, stable letter) to the split (r, image).  The pinch is
-derived from it: the segment lies in the crossed subgroup exactly when r is
-the identity, and then the image is what the pinch carries across.  Cayley
-balls do not fold tuples: a ball's HnnKeyTable interns segments and key
-prefixes as ints and reads each base segment's splits once per letter.
+The word functions fold over one bounded segment table per spec.  It interns
+base segments as ints, fills each segment's move for a letter the first time
+the letter meets it (the next segment for a base letter, the split (r, image)
+for a stable letter), and memoizes products and inverses of segments; a fold
+state holds segment ids and stable letter ids, and keys go in and come out as
+tuples.  The pinch is read off the split: the segment lies in the crossed
+subgroup exactly when r is the identity, and then the image is what the pinch
+carries across.  Cayley balls do not use this table: a ball's HnnKeyTable
+interns segments and key prefixes itself and splits each base segment once
+per stable letter.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,12 +38,13 @@ from .base_groups import BaseGroupOracle, base_geodesic_length
 from .subgroups import SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
 
-# Splits a spec keeps before it drops them all and starts over.  Long words
-# fold their stable letters onto few distinct (segment, letter) pairs: 2,000
-# random words of length 200 cross about 500,000 stable letters but only
-# 7,300 pairs on wise and 21,000 on g2.  A bound of 1 << 16 folded them at
-# most 4 % faster and held 8 MB more.
-_SPLIT_MEMO_SIZE = 1 << 12
+# Segments the word fold's table holds before the next call clears it.  On
+# 2,000 random words of length 200 each on wise and g2 (the words_nf
+# benchmark, which peaks at 43.7 MB without the table), one process each
+# peaked at 41.4, 44.1, 47.5 and 51.1 MB with bounds 1 << 11, 12, 13 and 14,
+# against a 5 % budget of 2.2 MB.  At 1 << 12 the table is cleared once on
+# wise and 19 times on g2.
+_SEGMENT_TABLE_SIZE = 1 << 12
 
 
 class AssociatedPair:
@@ -79,7 +85,11 @@ class HnnSpec(BaseGroupOracle):
                 if sub.coset_rep_left(ident) != ident:
                     raise ValueError(f"pair {i} {side}: the coset representative of "
                                      "the subgroup itself is not the identity")
-        self._splits: dict = {}  # (segment, pair index, sign) -> (r, image)
+        nb, n_letters = self.n_base_letters, self.alphabet.n_letters
+        self._stable_markers = [None] * nb + [self.stable_of_letter(lid)
+                                              for lid in range(nb, n_letters)]
+        self._lock = threading.Lock()
+        self._clear_segments()
         self.relators = tuple(self._make_relators())
 
     def _make_relators(self) -> list[Word]:
@@ -106,56 +116,117 @@ class HnnSpec(BaseGroupOracle):
 
     # -- the fold ------------------------------------------------------------
 
-    def _append_base_key(self, segs: list, bkey):
-        segs[-1] = self.base.mult_key(segs[-1], bkey)
+    def _clear_segments(self):
+        self._segments: list = []      # segment id -> base key
+        self._segment_ids: dict = {}   # base key -> segment id
+        # segment id -> per letter: the next segment id (base letters), the
+        # split (r id, image id) (stable letters), or None until first used
+        self._moves: list = []
+        self._products: dict = {}      # (segment id, segment id) -> segment id
+        self._inverses: dict = {}      # segment id -> segment id
+        self._segment(self._base_identity)  # segment 0: a split with r == 0 may pinch
+
+    def _segment(self, key) -> int:
+        sid = self._segment_ids.get(key)
+        if sid is None:
+            sid = self._segment_ids[key] = len(self._segments)
+            self._segments.append(key)
+            self._moves.append([None] * self.alphabet.n_letters)
+        return sid
+
+    def _base_move(self, sid: int, lid: int) -> int:
+        nxt = self._segment(self.base.apply_letter(self._segments[sid], lid))
+        self._moves[sid][lid] = nxt
+        self._moves[nxt][lid ^ 1] = sid
+        return nxt
+
+    def _stable_move(self, sid: int, lid: int) -> tuple:
+        r, img = self._split(self._segments[sid], *self._stable_markers[lid])
+        move = self._moves[sid][lid] = (self._segment(r), self._segment(img))
+        return move
+
+    def _product(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        if not a:
+            return b
+        p = self._products.get((a, b))
+        if p is None:
+            segs = self._segments
+            p = self._products[a, b] = self._segment(self.base.mult_key(segs[a], segs[b]))
+        return p
+
+    def _inverse(self, sid: int) -> int:
+        inv = self._inverses.get(sid)
+        if inv is None:
+            inv = self._inverses[sid] = self._segment(self.base.inv_key(self._segments[sid]))
+            self._inverses[inv] = sid
+        return inv
 
     def _split(self, tail, i: int, eps: int):
         """(r, img): tail = r * u with r its left coset representative, img the image
         of u across s_i^eps.  tail is in the crossed subgroup iff r is the identity."""
-        memo_key = (tail, i, eps)
-        split = self._splits.get(memo_key)
-        if split is None:
-            pair = self.pairs[i]
-            sub, target = (pair.u, pair.v) if eps > 0 else (pair.v, pair.u)
-            r = sub.coset_rep_left(tail)
-            img = sub.image(self.base.mult_key(self.base.inv_key(r), tail), target)
-            if img is None:
-                raise AssertionError("coset split produced a non-member factor")
-            if len(self._splits) >= _SPLIT_MEMO_SIZE:
-                self._splits.clear()
-            split = self._splits[memo_key] = (r, img)
-        return split
+        pair = self.pairs[i]
+        sub, target = (pair.u, pair.v) if eps > 0 else (pair.v, pair.u)
+        r = sub.coset_rep_left(tail)
+        img = sub.image(self.base.mult_key(self.base.inv_key(r), tail), target)
+        if img is None:
+            raise AssertionError("coset split produced a non-member factor")
+        return r, img
 
     def _append_stable(self, segs: list, i: int, eps: int):
-        r, img = self._split(segs[-1], i, eps)
-        if r == self._base_identity and len(segs) >= 3 and segs[-2] == (i, -eps):
-            segs.pop()
-            segs.pop()
-            segs[-1] = self.base.mult_key(segs[-1], img)
-            return
-        segs[-1] = r
-        segs.append((i, eps))
-        segs.append(img)
+        lid = self.n_base_letters + 2 * i + (eps < 0)
+        sid = segs[-1]
+        r, img = self._moves[sid][lid] or self._stable_move(sid, lid)
+        if not r and len(segs) >= 3 and segs[-2] == lid ^ 1:
+            del segs[-2:]
+            segs[-1] = self._product(segs[-1], img)
+        else:
+            segs[-1] = r
+            segs += (lid, img)
 
     def _fold_letters(self, segs: list, ids) -> list:
         nb = self.n_base_letters
+        moves, markers, append_stable = self._moves, self._stable_markers, self._append_stable
+        sid = segs[-1]
         for lid in ids:
             if lid < nb:
-                segs[-1] = self.base.apply_letter(segs[-1], lid)
+                nxt = moves[sid][lid]
+                sid = self._base_move(sid, lid) if nxt is None else nxt
             else:
-                i, eps = self.stable_of_letter(lid)
-                self._append_stable(segs, i, eps)
+                segs[-1] = sid
+                append_stable(segs, *markers[lid])
+                sid = segs[-1]
+        segs[-1] = sid
         return segs
 
-    def _fold_key_onto(self, segs: list, tail) -> list:
-        """Fold the (marker, base, marker, base, ...) tail of a key onto segs."""
-        for pos, part in enumerate(tail):
-            if pos % 2 == 0:
-                i, eps = part
-                self._append_stable(segs, i, eps)
-            else:
-                self._append_base_key(segs, part)
+    def _fold_key_onto(self, segs: list, key) -> list:
+        """Multiply the element of a key onto the end of segs."""
+        segment, product, append_stable = self._segment, self._product, self._append_stable
+        segs[-1] = product(segs[-1], segment(key[0]))
+        for pos in range(1, len(key), 2):
+            append_stable(segs, *key[pos])
+            segs[-1] = product(segs[-1], segment(key[pos + 1]))
         return segs
+
+    def _state(self, key) -> list:
+        """The fold state of a key: its segments and markers as ids."""
+        segs = list(key)
+        segs[::2] = map(self._segment, key[::2])
+        segs[1::2] = [self.stable_letter_id(i, eps) for i, eps in key[1::2]]
+        return segs
+
+    def _key(self, segs: list) -> tuple:
+        parts = list(segs)
+        parts[::2] = map(self._segments.__getitem__, segs[::2])
+        parts[1::2] = map(self._stable_markers.__getitem__, segs[1::2])
+        return tuple(parts)
+
+    def _begin(self):
+        """Start a call of the word fold: the table is cleared only here, so the
+        ids a call holds stay valid until it returns."""
+        if len(self._segments) > _SEGMENT_TABLE_SIZE:
+            self._clear_segments()
 
     # -- oracle interface ------------------------------------------------------
 
@@ -163,44 +234,38 @@ class HnnSpec(BaseGroupOracle):
         return (self.base.identity_key(),)
 
     def apply_letter(self, key, lid: int):
-        if lid < self.n_base_letters:
-            return key[:-1] + (self.base.apply_letter(key[-1], lid),)
-        segs = list(key)
-        i, eps = self.stable_of_letter(lid)
-        self._append_stable(segs, i, eps)
-        return tuple(segs)
+        with self._lock:
+            self._begin()
+            return self._key(self._fold_letters(self._state(key), (lid,)))
 
     def apply_letter_left(self, lid: int, key):
-        if lid < self.n_base_letters:
-            b = self.base.apply_letter(self.base.identity_key(), lid)
-            segs = [b]
-        else:
-            segs = [self.base.identity_key()]
-            i, eps = self.stable_of_letter(lid)
-            self._append_stable(segs, i, eps)
-        self._append_base_key(segs, key[0])
-        return tuple(self._fold_key_onto(segs, key[1:]))
+        with self._lock:
+            self._begin()
+            return self._key(self._fold_key_onto(self._fold_letters([0], (lid,)), key))
 
     def mult_key(self, k1, k2):
-        segs = list(k1)
-        self._append_base_key(segs, k2[0])
-        return tuple(self._fold_key_onto(segs, k2[1:]))
+        with self._lock:
+            self._begin()
+            return self._key(self._fold_key_onto(self._state(k1), k2))
 
     def inv_key(self, key):
-        segs = [self.base.inv_key(key[-1])]
-        for pos in range(len(key) - 2, -1, -1):
-            part = key[pos]
-            if pos % 2 == 1:
-                i, eps = part
-                self._append_stable(segs, i, -eps)
-            else:
-                self._append_base_key(segs, self.base.inv_key(part))
-        return tuple(segs)
+        with self._lock:
+            self._begin()
+            segment, inverse, product = self._segment, self._inverse, self._product
+            append_stable = self._append_stable
+            segs = [inverse(segment(key[-1]))]
+            for pos in range(len(key) - 2, 0, -2):
+                i, eps = key[pos]
+                append_stable(segs, i, -eps)
+                segs[-1] = product(segs[-1], inverse(segment(key[pos - 1])))
+            return self._key(segs)
 
     def evaluate(self, word: Word):
         if word.alphabet != self.alphabet:
             raise ValueError("word is over a different alphabet")
-        return tuple(self._fold_letters([self.base.identity_key()], word.ids))
+        with self._lock:
+            self._begin()
+            return self._key(self._fold_letters([0], word.ids))
 
     def key_str(self, key) -> str:
         parts = []
@@ -243,9 +308,9 @@ class HnnKeyTable:
     element's code is segment id << 31 | prefix id; the prefix id takes the
     low bits, which spread the codes over a dict's slots.
 
-    A segment's moves are computed once, from the fold's own split memo: per
-    base letter the next segment, per stable letter the split (r, image) and
-    the pinch image (the image if r is the identity, else -1).  A BFS step
+    A segment's moves are computed once, all letters at a time: per base
+    letter the next segment, per stable letter the split (r, image) and the
+    pinch image (the image if r is the identity, else -1).  A BFS step
     is then a memo lookup plus at most one prefix lookup.  The table belongs
     to the ball that made it, so the word functions never grow it.
     """
@@ -393,6 +458,8 @@ def find_pinch(spec: HnnSpec, w: Word, start: int = 0) -> Optional[Pinch]:
 
     Only stable letters at position ``start`` or later open a candidate.
     """
+    if w.alphabet != spec.alphabet:
+        raise ValueError("word is over a different alphabet")
     nb = spec.n_base_letters
     positions = [(pos, lid) for pos, lid in enumerate(w.ids[start:], start) if lid >= nb]
     for (q, lq), (p, lp) in zip(positions, positions[1:]):
@@ -412,6 +479,8 @@ def find_pinch(spec: HnnSpec, w: Word, start: int = 0) -> Optional[Pinch]:
 
 def britton_reduce(spec: HnnSpec, w: Word) -> Word:
     """Repeatedly remove pinches until the word is stable letter reduced."""
+    if w.alphabet != spec.alphabet:
+        raise ValueError("word is over a different alphabet")
     w = free_reduce(w)
     nb = spec.n_base_letters
     start = 0
@@ -441,11 +510,18 @@ def normal_form(spec: HnnSpec, w: Word) -> NormalForm:
     return NormalForm(spec, spec.evaluate(w))
 
 
+def _check_group(spec: HnnSpec, *elements: NormalForm):
+    if any(x.spec is not spec for x in elements):
+        raise ValueError("element is a normal form of a different group")
+
+
 def multiply(spec: HnnSpec, x: NormalForm, y: NormalForm) -> NormalForm:
+    _check_group(spec, x, y)
     return NormalForm(spec, spec.mult_key(x.key, y.key))
 
 
 def invert_el(spec: HnnSpec, x: NormalForm) -> NormalForm:
+    _check_group(spec, x)
     return NormalForm(spec, spec.inv_key(x.key))
 
 

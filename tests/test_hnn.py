@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -289,9 +291,21 @@ def inverse_ids(ids):
 
 
 @pytest.mark.parametrize("name", ["wise", "g2"])
-def test_split_memo_matches_the_reference_fold(name, monkeypatch):
-    monkeypatch.setattr(hnn, "_SPLIT_MEMO_SIZE", 8)
-    spec = preset(name)  # a fresh spec, so its memo starts empty
+def test_segment_table_matches_the_reference_fold(name, monkeypatch):
+    monkeypatch.setattr(hnn, "_SEGMENT_TABLE_SIZE", 8)
+    spec = preset(name)  # a fresh spec, so its table starts empty
+    begin, clear = spec._begin, spec._clear_segments
+    sizes, clears = [], [0]
+
+    def counted_begin():
+        begin()
+        sizes.append(len(spec._segments))
+
+    def counted_clear():
+        clears[0] += 1
+        clear()
+
+    spec._begin, spec._clear_segments = counted_begin, counted_clear
     n = spec.alphabet.n_letters
     rng = random.Random(14)
     words = [ids for k in range(5) for ids in itertools.product(range(n), repeat=k)]
@@ -302,15 +316,48 @@ def test_split_memo_matches_the_reference_fold(name, monkeypatch):
         assert x.key == reference_fold(spec, ids)
         assert invert_el(spec, x).key == reference_fold(spec, inverse_ids(ids))
         assert multiply(spec, y, x).key == reference_fold(spec, prev + ids)
-        assert len(spec._splits) <= 8
         prev, y = ids, x
+    assert len(sizes) == 3 * len(words) + 1
+    assert max(sizes) <= 8
+    assert clears[0] > len(words) // 10
+
+
+def test_threads_share_one_segment_table(monkeypatch):
+    monkeypatch.setattr(hnn, "_SEGMENT_TABLE_SIZE", 8)
+    spec = preset("g2")
+    n = spec.alphabet.n_letters
+    rng = random.Random(16)
+    words = [tuple(rng.randrange(n) for _ in range(60)) for _ in range(40)]
+    want = [reference_fold(spec, ids) for ids in words]
+    wrong = []
+
+    def fold_all(offset):
+        for k in range(len(words)):
+            k = (k + offset) % len(words)
+            x = normal_form(spec, Word(spec.alphabet, words[k]))
+            if x.key != want[k] or not multiply(spec, x, invert_el(spec, x)).is_identity():
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fold_all, args=(7 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_fold_properties(wise, g2, data):
     spec = data.draw(st.sampled_from([wise, g2]))
-    ids = tuple(data.draw(st.lists(st.integers(0, spec.alphabet.n_letters - 1), max_size=40)))
+    words = st.lists(st.integers(0, spec.alphabet.n_letters - 1), max_size=40)
+    ids = tuple(data.draw(words))
     rel = data.draw(st.sampled_from(spec.relators)).ids
     if data.draw(st.booleans()):
         rel = inverse_ids(rel)
@@ -319,6 +366,57 @@ def test_fold_properties(wise, g2, data):
     assert x.key == reference_fold(spec, ids)
     assert normal_form(spec, Word(spec.alphabet, ids[:pos] + rel + ids[pos:])) == x
     assert multiply(spec, x, invert_el(spec, x)).is_identity()
+    assert spec.inv_key(x.key) == reference_fold(spec, inverse_ids(ids))
+    stable = data.draw(st.integers(spec.n_base_letters, spec.alphabet.n_letters - 1))
+    assert spec.apply_letter(x.key, stable) == reference_fold(spec, ids + (stable,))
+    assert spec.apply_letter_left(stable, x.key) == reference_fold(spec, (stable,) + ids)
+    ids2 = tuple(data.draw(words))
+    y = normal_form(spec, Word(spec.alphabet, ids2))
+    assert spec.mult_key(x.key, y.key) == reference_fold(spec, ids + ids2)
+
+
+def test_every_stable_letter_a_fold_meets_goes_through_the_hook():
+    """The one place a stable letter meets a fold state, as a tracer wraps it."""
+    spec = preset("g2")
+    fold, calls, steps = spec._append_stable, [0], set()
+
+    def counted(segs, i, eps):
+        n = len(segs)
+        fold(segs, i, eps)
+        calls[0] += 1
+        steps.add(len(segs) - n)
+
+    spec._append_stable = counted
+    rng = random.Random(15)
+    nb = spec.n_base_letters
+    y = normal_form(spec, Word(spec.alphabet, ()))
+    for _ in range(50):
+        w = random_word(spec, rng, 30)
+        calls[0] = 0
+        x = normal_form(spec, w)
+        assert calls[0] == sum(1 for lid in w.ids if lid >= nb)
+        calls[0] = 0
+        invert_el(spec, x)
+        assert calls[0] == len(x.stable_markers)
+        calls[0] = 0
+        multiply(spec, x, y)
+        assert calls[0] == len(y.stable_markers)
+        y = x
+    assert steps == {-2, 2}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda wise, w, x, y: britton_reduce(wise, w), "different alphabet"),
+    (lambda wise, w, x, y: find_pinch(wise, w), "different alphabet"),
+    (lambda wise, w, x, y: invert_el(wise, x), "different group"),
+    (lambda wise, w, x, y: multiply(wise, y, x), "different group"),
+], ids=["britton_reduce", "find_pinch", "invert_el", "multiply"])
+def test_word_functions_reject_another_groups_input(wise, g2, call, message):
+    w = parse_word(g2.alphabet, "s'bbbs")
+    x = normal_form(g2, w)
+    y = normal_form(wise, parse_word(wise.alphabet, "s'as"))
+    with pytest.raises(ValueError, match=message):
+        call(wise, w, x, y)
 
 
 class OffsetCosetReps(CyclicSubgroup):

@@ -25,8 +25,9 @@ them.  They are built once per sphere, and readers scan them inline.
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
 exports derived from one.  The ids of each sphere are therefore one
-contiguous range, which BallIndex.sphere(n) returns; no other module
-relies on that layout.
+contiguous range, which BallIndex.sphere(n) returns.  convexity.ac_profile
+relies on that layout: it tests membership in B(n) and S(n) by comparing
+ids with the end of S(n)'s range instead of reading distances.
 
 A ball is resumable: extend_ball grows it sphere by sphere from the last
 one, and ids are prefix-stable, so extending a radius-r0 ball to radius r

@@ -9,7 +9,10 @@ visits each g on S(N) once, with one map from the h > g paired with it to
 their path: an edge or two letters through a midpoint in B(N) for near
 pairs, a BFS inside B(N) for far pairs, whose midpoints all lie on S(N+1)
 and are read off predecessor links.  Every path is walked again, and the
-map is dropped once g is done, so nothing is kept per pair.
+map is dropped once g is done, so nothing is kept per pair.  Ball ids are
+assigned in BFS order, so with hi the end of S(N)'s id range, x is in B(N)
+iff x < hi and h > g is on S(N) iff g < h < hi: the profiler reads no
+distance and allocates nothing per element.
 
 The FFTP searcher works in relative coordinates: while scanning a word w and
 a candidate companion v in lockstep, the only thing that matters is the
@@ -43,6 +46,7 @@ from typing import Optional
 
 from . import parallel
 from .cayley import BallIndex, OutOfBallError, build_ball
+from .hnn import MAX_WITNESSES
 from .words import Word, format_word
 
 INF = float("inf")
@@ -127,7 +131,7 @@ def _inside_bfs(ball: BallIndex, n: int, start: int, goal: int) -> list[int]:
     """
     if start == goal:
         return []
-    dist = ball.dist
+    hi = ball.sphere(n).stop  # BFS ids: x is in B(n) iff x < hi
     trans = ball.trans
     pg: dict[int, tuple[int, int]] = {start: (-1, -1)}
     ph: dict[int, tuple[int, int]] = {goal: (-1, -1)}
@@ -141,7 +145,7 @@ def _inside_bfs(ball: BallIndex, n: int, start: int, goal: int) -> list[int]:
         nxt = []
         for v in fg:
             for lid, t in enumerate(trans[v]):
-                if dist[t] > n or t in pg:
+                if t >= hi or t in pg:
                     continue
                 pg[t] = (v, lid)
                 if t in ph:
@@ -181,31 +185,33 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if ball.radius < n_max + 1:
         raise OutOfBallError(n_max + 1, ball.radius)
-    dist = ball.dist.tolist()  # a list indexes faster in the pair loops
     trans = ball.trans
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     report = AcReport(n_max)
     for n in range(1, n_max + 1):
         d1 = d2 = c = 0
         best = None  # (g, h, path) of the smallest pair with the longest path
-        for g in ball.sphere(n):
+        # BFS ids: x is in B(n) iff x < hi, and h > g is on S(n) iff g < h < hi
+        sphere = ball.sphere(n)
+        hi = sphere.stop
+        for g in sphere:
             # h > g on S(n) -> path inside B(n): an edge, two letters through
             # a midpoint in B(n), else (all midpoints on S(n+1)) a BFS path
             paths: dict[int, tuple[int, ...]] = {}
             row = trans[g]
             for lid, m in enumerate(row):
-                if m > g and dist[m] == n:
+                if g < m < hi:
                     paths.setdefault(m, (lid,))
             edges = len(paths)
             for l1, m in enumerate(row):
-                if dist[m] <= n:
+                if m < hi:
                     for l2, h in enumerate(trans[m]):
-                        if h > g and dist[h] == n:
+                        if g < h < hi:
                             paths.setdefault(h, (l1, l2))
             # far pairs come off the predecessor links of g's upper
             # neighbours; a neighbour with one link (g's) gives none
             for m in row:
-                if dist[m] > n and start[m + 1] - start[m] > 1:
+                if m >= hi and start[m + 1] - start[m] > 1:
                     for k in range(start[m], start[m + 1]):
                         h = src[k]
                         if h > g and h not in paths:
@@ -217,7 +223,7 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
                 v = g
                 for lid in path:
                     v = trans[v][lid]
-                    if dist[v] > n:
+                    if v >= hi:
                         raise AssertionError("witness path leaves the ball")
                 if v != h:
                     raise AssertionError("witness path misses its endpoint")
@@ -228,7 +234,7 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
             g, h, path = best
             gamma = path  # a near pair's path is a shortest word between g and h
             if len(path) > 2:  # a far pair: two letters through the least common midpoint
-                m = min(m for m in trans[g] if dist[m] > n and m in trans[h])
+                m = min(m for m in trans[g] if m >= hi and m in trans[h])
                 links = range(start[m], start[m + 1])
                 gamma = (next(letter[k] for k in links if src[k] == g),
                          next(letter[k] ^ 1 for k in links if src[k] == h))
@@ -639,16 +645,18 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
 class SignatureReport:
     radius: int
     elements: int
-    violations: list = field(default_factory=list)
+    violations: list = field(default_factory=list)  # the first MAX_WITNESSES, with witnesses
+    violation_count: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
     def to_dict(self) -> dict:
         return {
             "radius": self.radius,
             "elements": self.elements,
+            "violation_count": self.violation_count,
             "violations": self.violations,
         }
 
@@ -656,10 +664,13 @@ class SignatureReport:
         out = [
             f"elements checked: {self.elements} (radius {self.radius})",
             "parallel stable-letter structure: "
-            + ("PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"),
+            + ("PASS" if self.passed else f"FAIL ({self.violation_count} violations)"),
         ]
         for v in self.violations:
             out.append(f"  {v['element']}: {v['word1']!r} vs {v['word2']!r}")
+        hidden = self.violation_count - len(self.violations)
+        if hidden > 0:
+            out.append(f"  ... and {hidden} more violations")
         return out
 
 
@@ -669,27 +680,40 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
     Dynamic program over the ball in distance order: the signature of an
     element extends the signature of any predecessor, so it is unique iff
     all predecessors agree; a disagreement is reported with two geodesic
-    witness words.
+    witness words (the element's first link and its first disagreeing one).
+
+    Signatures are interned in a prefix trie: id 0 is the empty signature,
+    and extend[s * n_letters + l] is the id of signature s followed by
+    stable letter l.  Ids are equal iff the sequences are, so each element
+    stores one int, and a link whose extension was never interned
+    disagrees with the first link's signature, which was.
     """
     nb = spec.n_base_letters
+    n_letters = ball.oracle.alphabet.n_letters
     report = SignatureReport(ball.radius, len(ball))
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
-    sigs: list[tuple] = [()] * len(ball)
+    extend: dict[int, int] = {}
+    sigs = [0] * len(ball)
     for eid in range(1, len(ball)):
         first = start[eid]
         p0, l0 = src[first], letter[first]
-        sigs[eid] = sig0 = sigs[p0] + ((l0,) if l0 >= nb else ())
+        sig0 = sigs[p0]
+        if l0 >= nb:
+            sig0 = extend.setdefault(sig0 * n_letters + l0, len(extend) + 1)
+        sigs[eid] = sig0
         for k in range(first + 1, start[eid + 1]):
             pid, lid = src[k], letter[k]
-            if sigs[pid] + ((lid,) if lid >= nb else ()) != sig0:
-                w1 = ball.shortlex_geodesic(p0).ids + (l0,)
-                w2 = ball.shortlex_geodesic(pid).ids + (lid,)
-                report.violations.append(
-                    {
-                        "element": ball.oracle.key_str(ball.key(eid)),
-                        "word1": format_word(Word(ball.oracle.alphabet, w1)),
-                        "word2": format_word(Word(ball.oracle.alphabet, w2)),
-                    }
-                )
+            if (sigs[pid] if lid < nb else extend.get(sigs[pid] * n_letters + lid)) != sig0:
+                report.violation_count += 1
+                if len(report.violations) < MAX_WITNESSES:
+                    w1 = ball.shortlex_geodesic(p0).ids + (l0,)
+                    w2 = ball.shortlex_geodesic(pid).ids + (lid,)
+                    report.violations.append(
+                        {
+                            "element": ball.oracle.key_str(ball.key(eid)),
+                            "word1": format_word(Word(ball.oracle.alphabet, w1)),
+                            "word2": format_word(Word(ball.oracle.alphabet, w2)),
+                        }
+                    )
                 break
     return report

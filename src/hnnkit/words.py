@@ -92,6 +92,8 @@ class Alphabet:
         return Word(self, tuple(ids))
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return isinstance(other, Alphabet) and all(
             (g.name, g.kind) == (h.name, h.kind)
             for g, h in zip(self.generators, other.generators)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,8 @@ from hnnkit.convexity import (
     fftp_search,
     verify_parallel_signatures,
 )
-from hnnkit.words import Word, enumerate_words, parse_word
+from hnnkit.hnn import MAX_WITNESSES
+from hnnkit.words import Word, enumerate_words, format_word, parse_word
 
 
 def test_fellow_distance_examples(z2_ab, z2_ab_ball9, z2_abcd, z2_abcd_ball9):
@@ -520,16 +522,84 @@ def test_parallel_signatures(wise, g2, g2_ball7):
     assert report2.passed
 
 
+class FakeSpec:
+    """A stand-in spec whose letters with ids >= n_base_letters count as stable."""
+
+    def __init__(self, n_base_letters=0):
+        self.n_base_letters = n_base_letters
+
+
 def test_signature_violation_detected(z2_abcd):
     # sanity for the reporting path: a fake "spec" that treats every letter as
     # stable makes same-element geodesics disagree immediately
-    class FakeSpec:
-        n_base_letters = 0
-
     ball = build_ball(z2_abcd, 3)
     report = verify_parallel_signatures(ball, FakeSpec())
     assert not report.passed
     assert report.violations[0]["word1"] != report.violations[0]["word2"]
+
+
+def test_signature_report_is_bounded(wise):
+    report = verify_parallel_signatures(build_ball(wise, 5), FakeSpec())
+    assert (report.violation_count, len(report.violations)) == (7972, MAX_WITNESSES)
+    assert report.to_dict()["violation_count"] == 7972
+    lines = report.table_lines()
+    assert lines[1] == "parallel stable-letter structure: FAIL (7972 violations)"
+    assert lines[2:] == [f"  {v['element']}: {v['word1']!r} vs {v['word2']!r}"
+                         for v in report.violations] + ["  ... and 7964 more violations"]
+
+
+def reference_signatures(ball, spec):
+    """The tuple-signature DP: (violation count, the first MAX_WITNESSES violations)."""
+    nb = spec.n_base_letters
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+    word = lambda p, lid: format_word(Word(ball.oracle.alphabet,
+                                           ball.shortlex_geodesic(p).ids + (lid,)))
+    sigs = [()] * len(ball)
+    count, kept = 0, []
+    for eid in range(1, len(ball)):
+        first = start[eid]
+        p0, l0 = src[first], letter[first]
+        sigs[eid] = sig0 = sigs[p0] + ((l0,) if l0 >= nb else ())
+        for k in range(first + 1, start[eid + 1]):
+            pid, lid = src[k], letter[k]
+            if sigs[pid] + ((lid,) if lid >= nb else ()) != sig0:
+                count += 1
+                if len(kept) < MAX_WITNESSES:
+                    kept.append({"element": ball.oracle.key_str(ball.key(eid)),
+                                 "word1": word(p0, l0), "word2": word(pid, lid)})
+                break
+    return count, kept
+
+
+@pytest.mark.parametrize("name,radius,n_base_letters,violations", [
+    ("wise", 5, None, 0), ("g2", 6, None, 0), ("z2_abcd", 3, 0, 34),
+    ("z2_abcd", 4, 4, 30),  # c and d stable, a and b not
+    ("wise", 5, 6, 5628),  # d, s and t stable
+])
+def test_interned_signatures_match_the_tuple_dp(name, radius, n_base_letters, violations,
+                                                request):
+    group = request.getfixturevalue(name)
+    spec = group if n_base_letters is None else FakeSpec(n_base_letters)
+    ball = build_ball(group, radius)
+    report = verify_parallel_signatures(ball, spec)
+    assert (report.violation_count, report.violations) == reference_signatures(ball, spec)
+    assert report.violation_count == violations
+
+
+def test_analysis_passes_allocate_nothing_per_element(wise):
+    # beyond the ball, the signature check keeps one int per element and
+    # ac_profile nothing per element (tracemalloc peaks, in bytes per element)
+    ball = build_ball(wise, 5)
+    per_element = {}
+    for name, run, bound in (("signatures", lambda: verify_parallel_signatures(ball, wise), 12),
+                             ("ac_profile", lambda: ac_profile(ball, 4), 2)):
+        tracemalloc.start()
+        try:
+            run()
+            per_element[name] = tracemalloc.get_traced_memory()[1] / len(ball)
+        finally:
+            tracemalloc.stop()
+        assert per_element[name] <= bound, per_element
 
 
 SELF_CHECK_SCRIPT = """
@@ -579,6 +649,17 @@ elif sys.argv[1] == "snf":
 
     bg._smith_decomp = corrupt
     preset("wise")
+elif sys.argv[1] == "ac-upper":
+    def through_upper(ball, n, g, h):
+        # a far pair's two letters through a common midpoint on S(n+1)
+        for l1, m in enumerate(ball.trans[g]):
+            if ball.dist[m] > n:
+                for k in range(ball.link_start[m], ball.link_start[m + 1]):
+                    if ball.link_src[k] == h:
+                        return [l1, ball.link_letter[k] ^ 1]
+
+    cx._inside_bfs = through_upper
+    cx.ac_profile(build_ball(preset("g2"), 3), 2)
 else:
     real = cx._inside_bfs
     cx._inside_bfs = lambda *args: real(*args)[:-1]  # path misses its endpoint
@@ -588,6 +669,7 @@ else:
 
 @pytest.mark.parametrize("engine,message", [
     ("fftp", "fails re-verification"), ("ac", "misses its endpoint"),
+    ("ac-upper", "witness path leaves the ball"),
     ("hnn", "changes its letter ids"), ("table", "coset representative is not canonical"),
     ("reps", "the coset representative of the subgroup itself is not the identity"),
     ("snf", "S*M*T != D"),

@@ -116,3 +116,16 @@ def test_parse_errors_have_position():
         parse_word(AB, "ax")
     with pytest.raises(WordParseError):
         parse_word(AB, "a[unclosed")
+
+
+def test_alphabet_equality():
+    assert AB == AB and ABS == ABS
+    # an equal copy is a distinct object that compares and hashes equal
+    copy = Alphabet.make(["a", "b"], ["s"])
+    assert copy is not ABS and copy == ABS and hash(copy) == hash(ABS)
+    assert w(copy, "s'as") == w(ABS, "s'as")
+    # different names, kinds or lengths are different alphabets
+    for other in (Alphabet.make(["a", "c"], ["s"]), Alphabet.make(["a", "b", "s"]),
+                  AB, Alphabet.make(["a", "b"], ["s", "t"])):
+        assert other != ABS and ABS != other
+    assert ABS != ("a", "b", "s")

@@ -22,6 +22,19 @@ rows, the links of eid being (link_src[k], link_letter[k]) for k in
 range(link_start[eid], link_start[eid + 1]), in the order the BFS found
 them.  They are built once per sphere, and readers scan them inline.
 
+The BFS deduplicates per sphere, not against the whole ball.  A letter
+moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
+neighbour of S(d) lies in S(d - 1), S(d) or S(d + 1).  While S(d) is
+expanded, two dicts therefore decide every code exactly: one from the codes
+of S(d - 1) and S(d) to their ids, and one for the elements of S(d + 1)
+found so far; a code in neither is new.  Each sphere moves the first dict
+on by one (S(d - 1) out, the second dict in), and both are dropped before
+the last sphere's links are merged.  So the ball keeps no code -> id map
+while it grows.  Lookups by key (id_of, `in`, locate, and the boundary rows
+of ball_edges) read one index over all codes, built on the first lookup
+and kept current by every later extension; a ball never queried by key
+never holds one.
+
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
 exports derived from one.  The ids of each sphere are therefore one
@@ -89,8 +102,9 @@ class OracleKeys:
 class BallIndex:
     """The radius-0 ball: just the identity.  Grow it with extend_ball.
 
-    codes[eid] is the element's code in the ball's key table, code_ids the
-    inverse map.  trans[eid] is the row of an expanded element, else None.
+    codes[eid] is the element's code in the ball's key table.  The inverse
+    map, code -> id, is built by the first lookup by key, not by the BFS.
+    trans[eid] is the row of an expanded element, else None.
     The predecessor links of eid are (link_src[k], link_letter[k]) for k in
     range(link_start[eid], link_start[eid + 1]).
     """
@@ -104,7 +118,7 @@ class BallIndex:
             raise ValueError("mem_cap must be >= 1")
         ident = self.table.identity
         self.codes: list = [ident]
-        self.code_ids: dict = {ident: 0}
+        self._index: Optional[dict] = None  # code -> id, once a lookup needs it
         self.dist = array("i", [0])
         self.trans: list[Optional[tuple[int, ...]]] = [None]
         self.link_start = array("i", [0, 0])
@@ -116,9 +130,15 @@ class BallIndex:
     def __len__(self) -> int:
         return len(self.codes)
 
+    def _ids(self) -> dict:
+        """The code -> id index over the whole ball, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.codes, range(len(self.codes))))
+        return self._index
+
     def _find(self, key) -> Optional[int]:
         code = self.table.encode(key)
-        return None if code is None else self.code_ids.get(code)
+        return None if code is None else self._ids().get(code)
 
     def __contains__(self, key) -> bool:
         return self._find(key) is not None
@@ -203,13 +223,19 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     ball._counts = None
     row_of = ball.table.row
     mem_cap = ball.mem_cap
-    code_ids = ball.code_ids
     codes = ball.codes
     dist = ball.dist
     trans = ball.trans
+    # S(d - 1) and S(d), then S(d + 1) as it is found: see the module docstring
+    lo = len(codes) - sum(ball.sphere_sizes[-2:])
+    prev = dict(zip(codes[lo:], range(lo, len(codes))))
     for d in range(ball.radius, radius):
         frontier = ball.sphere(d)
         n_before = len(codes)  # sphere d + 1 is the ids from here on
+        prev_get = prev.get
+        nxt: dict = {}
+        nxt_setdefault = nxt.setdefault
+        n_codes = n_before
         # the links into sphere d + 1, in the order they are found: the first
         # of each element (so in id order), and the later ones with targets
         first_src, first_letter = array("i"), array("i")
@@ -218,28 +244,39 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
             for eid in frontier:
                 row = []
                 for lid, code in enumerate(row_of(codes[eid])):
-                    tid = code_ids.get(code)
+                    tid = prev_get(code)
                     if tid is None:
-                        tid = len(codes)
-                        if tid >= mem_cap:
-                            raise BallCapError(mem_cap, d)
-                        code_ids[code] = tid
-                        codes.append(code)
-                        first_src.append(eid)
-                        first_letter.append(lid)
-                    elif tid >= n_before:
-                        later_target.append(tid)
-                        later_src.append(eid)
-                        later_letter.append(lid)
+                        tid = nxt_setdefault(code, n_codes)
+                        if tid == n_codes:
+                            if tid >= mem_cap:
+                                raise BallCapError(mem_cap, d)
+                            n_codes += 1
+                            codes.append(code)
+                            first_src.append(eid)
+                            first_letter.append(lid)
+                        else:
+                            later_target.append(tid)
+                            later_src.append(eid)
+                            later_letter.append(lid)
                     row.append(tid)
                 trans[eid] = tuple(row)
         except BallCapError:
-            for code in codes[n_before:]:
-                del code_ids[code]
             del codes[n_before:]
             for eid in frontier:
                 trans[eid] = None
             raise
+        if ball._index is not None:
+            ball._index.update(nxt)
+        if d + 1 < radius:
+            # on to S(d) and S(d + 1), keeping the id ints that rows share
+            for code in codes[lo:frontier.start]:
+                del prev[code]
+            prev.update(nxt)
+            lo = frontier.start
+        else:
+            # the link merge below is the build's other peak: free both maps first
+            prev = prev_get = None
+        nxt = nxt_setdefault = None
         n_new = len(codes) - n_before
         dist.extend(array("i", [d + 1]) * n_new)
         trans.extend([None] * n_new)
@@ -368,7 +405,7 @@ def ball_edges(ball: BallIndex) -> Iterator[tuple[int, int, int]]:
     for eid in range(len(ball)):
         row = ball.trans[eid]
         if row is None:
-            row = map(ball.code_ids.get, ball.table.row(ball.codes[eid]))
+            row = map(ball._ids().get, ball.table.row(ball.codes[eid]))
         for lid, tid in enumerate(row):
             if tid is not None:
                 yield eid, lid, tid

@@ -370,20 +370,14 @@ class StallingsSubgroup(SubgroupOracle):
     def coset_rep(self, key):
         if len(key) > self.depth_cap:
             raise SchreierDepthError(self.depth_cap)
-        v, suffix = 0, ()
-        for lid in key:
-            if suffix:
-                if suffix[-1] == lid ^ 1:
-                    suffix = suffix[:-1]
-                else:
-                    suffix = suffix + (lid,)
-                continue
+        v = 0
+        for i, lid in enumerate(key):
             hit = self._step(v, lid)
-            if hit is not None:
-                v = hit[0]
-            else:
-                suffix = (lid,)
-        return self._reps[v] + suffix
+            if hit is None:
+                # the key is freely reduced, so nothing after it cancels
+                return self._reps[v] + key[i:]
+            v = hit[0]
+        return self._reps[v]
 
 
 def cyclic_subgroup(oracle: AbelianOracle, generator_word: Word) -> CyclicSubgroup:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from hnnkit.cayley import (
     is_geodesic,
     locate,
 )
+from hnnkit.presets import preset
 from hnnkit.words import enumerate_words, format_word, parse_word
 
 
@@ -325,3 +327,56 @@ def test_radius_above_255(z2_ab):
     far = ball.id_of(z2_ab.evaluate(parse_word(z2_ab.alphabet, "a" * 256)))
     assert ball.dist[far] == 256 and ball.label(far) == "a" * 256
     assert ball.geodesic_count(far) == 1
+
+
+@pytest.mark.parametrize("name", ["g2", "z2_abcd"])
+def test_lookups_across_the_ball_lifecycle(name, request):
+    group = request.getfixturevalue(name)
+    ref = build_ball(group, 7)
+    outer = [ref.key(eid) for eid in ref.sphere(7)[::7]]
+
+    def check(ball):
+        assert ball.radius == 6
+        assert all(ball.id_of(ball.key(eid)) == eid for eid in range(len(ball)))
+        assert not any(key in ball for key in outer)
+
+    check(build_ball(group, 6))
+
+    queried = build_ball(group, 3)
+    assert queried.id_of(group.identity_key()) == 0
+    extend_ball(queried, 6)
+    check(queried)
+
+    fresh = build_ball(group, 3)
+    extend_ball(fresh, 6)
+    assert fresh._index is None  # never queried by key, so no index yet
+    check(fresh)
+
+    capped = build_ball(group, 2, mem_cap=ref.sphere(3).start + 1)
+    assert capped.id_of(group.identity_key()) == 0
+    with pytest.raises(BallCapError):
+        extend_ball(capped, 6)
+    partial = ref.key(ref.sphere(3).start)
+    assert partial not in capped
+    capped.mem_cap = 10**6
+    extend_ball(capped, 6)
+    check(capped)
+    assert capped.id_of(partial) == ref.sphere(3).start
+
+    # locate grows the ball one sphere at a time, to the key's own sphere
+    assert locate(capped, outer[-1]) == ref.id_of(outer[-1])
+    assert capped.radius == 7
+
+
+def test_wise_r6_ball_keeps_at_most_170_bytes_per_element():
+    wise = preset("wise")  # fresh, so the fold's memo tables are counted too
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball = build_ball(wise, 6)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 222_087
+    # a code -> id dict over the whole ball would add about 43 B per element
+    assert kept / len(ball) <= 170

@@ -4,6 +4,7 @@ import pytest
 
 import hnnkit.subgroups as subgroups
 from hnnkit.base_groups import abelian_from_presentation, free_oracle
+from hnnkit.presets import preset
 from hnnkit.subgroups import (
     SchreierDepthError,
     cyclic_subgroup,
@@ -211,6 +212,43 @@ def test_stallings_coset_rep_properties(f2):
             assert sub.coset_rep(r) == r
             for u in gen_keys:
                 assert sub.coset_rep(f2.mult_key(u, g)) == r
+
+
+def loop_coset_rep(sub, key):
+    """Walk the automaton, then reduce the leftover letters one at a time."""
+    v, suffix = 0, ()
+    for lid in key:
+        if suffix:
+            if suffix[-1] == lid ^ 1:
+                suffix = suffix[:-1]
+            else:
+                suffix = suffix + (lid,)
+            continue
+        hit = sub._step(v, lid)
+        if hit is not None:
+            v = hit[0]
+        else:
+            suffix = (lid,)
+    return sub._reps[v] + suffix
+
+
+def test_stallings_coset_rep_matches_letter_loop():
+    g2 = preset("g2")
+    base = g2.base
+    n = base.alphabet.n_letters
+    short = [base.evaluate(w) for w in enumerate_words(base.alphabet, 6)]
+    rng = random.Random(13)
+    long = []
+    for _ in range(2000):
+        ids = [rng.randrange(n)]
+        for _ in range(rng.randrange(119)):
+            ids.append(rng.choice([l for l in range(n) if l != ids[-1] ^ 1]))
+        long.append(tuple(ids))
+    assert max(map(len, long)) > 100
+    for pair in g2.pairs:
+        for sub in (pair.u, pair.v):
+            for key in short + long:
+                assert sub.coset_rep(key) == loop_coset_rep(sub, key)
 
 
 def test_subgroup_generator_validation(f2):

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 a checked property was violated (or left
 unverified), 2 usage or resource errors.  Progress and wall time go to
 stderr; stdout (or --out) carries only the report, whose bytes depend just
-on the run configuration, not on --jobs or timing.
+on the run configuration, not on timing.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-unreduced", action="store_true",
                    help="also test words that are not freely reduced")
     p.add_argument("--format", default="table", choices=["json", "table"])
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the exhaustive search")
     _add_common(p)
 
     p = sub.add_parser("verify-isometric", help="strip-equidistant and geodesic checks")
@@ -219,17 +217,19 @@ def _parse_mode(text: str):
     if text == "exhaustive":
         return "exhaustive", 0, None
     if text.startswith("sampled:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("sampled mode is sampled:COUNT:SEED")
-        return "sampled", int(parts[1]), int(parts[2])
+        try:
+            _, count, seed = text.split(":")
+            return "sampled", int(count), int(seed)
+        except ValueError:
+            raise ValueError("sampled mode is sampled:COUNT:SEED "
+                             "with integer COUNT and SEED") from None
     raise ValueError(f"unknown mode {text!r}")
 
 
 def cmd_fftp(args) -> int:
     group, label = _load_group(args)
     mode, count, seed = _parse_mode(args.mode)
-    check_fftp_arguments(args.max_len, args.k_cap, mode, count, args.jobs)
+    check_fftp_arguments(args.max_len, args.k_cap, mode, count)
     ball = build_ball(group, fftp_radius(args.max_len, args.k_cap), mem_cap=args.mem_cap,
                       progress=_progress("ball"))
     report = fftp_search(
@@ -240,7 +240,6 @@ def cmd_fftp(args) -> int:
         sample_count=count,
         seed=seed,
         include_unreduced=args.include_unreduced,
-        jobs=args.jobs,
     )
     header = _header(
         "fftp",

@@ -44,7 +44,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import parallel
 from .cayley import BallIndex, OutOfBallError, build_ball
 from .hnn import MAX_WITNESSES
 from .words import Word, format_word
@@ -320,25 +319,22 @@ def fftp_radius(max_len: int, k_cap: int) -> int:
     return max(max_len, k_cap + 2)
 
 
-def check_fftp_arguments(max_len: int, k_cap: int, mode: str, sample_count: int,
-                         jobs: int) -> None:
+def check_fftp_arguments(max_len: int, k_cap: int, mode: str, sample_count: int) -> None:
     """Raise ValueError for arguments fftp_search rejects, before any ball is built."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    for name, value, least in (("max_len", max_len, 0), ("k_cap", k_cap, 0),
-                               ("sample_count", sample_count, 0), ("jobs", jobs, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    for name, value in (("max_len", max_len), ("k_cap", k_cap), ("sample_count", sample_count)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if mode == "sampled" and max_len < 1:
         raise ValueError("sampled mode needs max_len >= 1")
 
 
 class _FftpContext:
-    """Shared tables of the fftp layer automaton (fork-shared by workers).
+    """Tables of the fftp layer automaton, shared by every first letter.
 
     Layers are interned as small ints, an automaton state is a pair of layer
     ids (moving M, resting R), and step() computes each transition once.
-    Forked workers fill their own copies of the tables.
     """
 
     def __init__(self, ball: BallIndex, max_len: int, k_cap: int, reduced_only: bool):
@@ -507,13 +503,12 @@ def _count_subtree(ctx: _FftpContext, first: int, cap: int, geodesic: list[int])
     return partial, missing
 
 
-def _fftp_worker(first: int) -> dict:
+def _first_letter_tallies(ctx: _FftpContext, first: int) -> dict:
     """The tallies of one first letter at the least cap that resolves every word.
 
     If k_cap leaves words unresolved, the subtree is walked once at k_cap,
     each word's state carried down from its prefix, so they can be listed.
     """
-    ctx = parallel.get_context()
     geodesic = _geodesic_counts(ctx.rel, first, ctx.max_len)
     for cap in range(ctx.k_cap + 1):
         partial, missing = _count_subtree(ctx, first, cap, geodesic)
@@ -588,12 +583,14 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
     synchronous fellow-traveling distance between w and v.  kMin is the
     maximum of these minima; words with no companion within k_cap are
     reported as unresolved, never dropped.
+
+    Runs in the calling process; ``jobs`` is unused and goes with the next benchmark change.
     """
-    check_fftp_arguments(max_len, k_cap, mode, sample_count, jobs)
+    check_fftp_arguments(max_len, k_cap, mode, sample_count)
     ctx = _FftpContext(ball, max_len, k_cap, not include_unreduced)
     if mode == "exhaustive":
-        tasks = list(range(ctx.n_letters)) if max_len > 0 else []
-        merged = _merge_partials(parallel.run_tasks(_fftp_worker, tasks, ctx, jobs))
+        firsts = range(ctx.n_letters) if max_len > 0 else ()
+        merged = _merge_partials([_first_letter_tallies(ctx, first) for first in firsts])
     else:
         rng = random.Random(seed)
         words = []

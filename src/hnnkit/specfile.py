@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .base_groups import AbelianOracle, BaseGroupOracle, FreeOracle
 from .hnn import AssociatedPair, HnnSpec
 from .subgroups import cyclic_subgroup, stallings_subgroup
-from .words import Alphabet, Word, format_word, parse_word
+from .words import Alphabet, Word, WordParseError, format_word, invert, parse_word
 
 
 class SpecFileError(ValueError):
@@ -166,18 +166,23 @@ def ast_of(obj: Union[HnnSpec, BaseGroupOracle]) -> SpecAst:
 
 
 def build_from_ast(ast: SpecAst, name: str = "") -> Union[HnnSpec, BaseGroupOracle]:
-    base_alphabet = Alphabet.make(ast.generators)
+    try:
+        base_alphabet = Alphabet.make(ast.generators)
+    except ValueError as e:
+        raise SpecFileError(f"base: {e}") from e
 
-    def base_word(text: str) -> Word:
-        return parse_word(base_alphabet, text)
+    def base_word(text: str, where: str) -> Word:
+        try:
+            return parse_word(base_alphabet, text)
+        except WordParseError as e:
+            raise SpecFileError(f"{where}: {e}") from e
 
     relator_words = []
     for lhs, rhs in ast.relators:
-        w = base_word(lhs)
+        where = f"relator {lhs}" if rhs is None else f"relator {lhs} = {rhs}"
+        w = base_word(lhs, where)
         if rhs is not None:
-            from .words import invert
-
-            w = w * invert(base_word(rhs))
+            w = w * invert(base_word(rhs, where))
         relator_words.append(w)
 
     if ast.kind == "abelian":
@@ -191,15 +196,19 @@ def build_from_ast(ast: SpecAst, name: str = "") -> Union[HnnSpec, BaseGroupOrac
         return base
 
     pairs = []
+    names = set(ast.generators)
     for st in ast.stables:
+        if st.name in names:
+            raise SpecFileError(f"stable {st.name}: the name {st.name!r} is already taken")
+        names.add(st.name)
         if not st.u_words or not st.v_words:
             raise SpecFileError(f"stable {st.name}: u and v word lists are required")
         if len(st.u_words) != len(st.v_words):
             raise SpecFileError(
                 f"stable {st.name}: u and v must list the same number of words"
             )
-        u_words = [base_word(t) for t in st.u_words]
-        v_words = [base_word(t) for t in st.v_words]
+        u_words = [base_word(t, f"stable {st.name}") for t in st.u_words]
+        v_words = [base_word(t, f"stable {st.name}") for t in st.v_words]
         if isinstance(base, AbelianOracle):
             if len(u_words) != 1:
                 raise SpecFileError(

@@ -88,20 +88,19 @@ def test_ac_json(capsys):
 
 def test_fftp_exit_codes(capsys):
     rc, out, _ = run(capsys, "fftp", "--preset", "z2_ab", "--max-len", "4",
-                     "--k-cap", "6", "--format", "json", "--jobs", "1")
+                     "--k-cap", "6", "--format", "json")
     assert rc == 0
     doc = json.loads(out)
     assert doc["report"]["k_min"] == 2
     # an unverifiable cap turns into exit code 1
     rc, _, _ = run(capsys, "fftp", "--preset", "z2_ab", "--max-len", "3",
-                   "--k-cap", "0", "--format", "json", "--jobs", "1")
+                   "--k-cap", "0", "--format", "json")
     assert rc == 1
 
 
 def test_fftp_sampled_mode(capsys):
     rc, out, _ = run(capsys, "fftp", "--preset", "z2_ab", "--max-len", "4",
-                     "--k-cap", "6", "--mode", "sampled:100:7", "--format", "json",
-                     "--jobs", "1")
+                     "--k-cap", "6", "--mode", "sampled:100:7", "--format", "json")
     assert rc == 0
     doc = json.loads(out)
     assert doc["report"]["mode"] == "sampled"
@@ -116,10 +115,10 @@ def test_fftp_rejects_bad_arguments(capsys):
         (("--max-len", "-2"), "max_len must be >= 0"),
         # checked before the ball is built, so the cap is never reached
         (("--max-len", "-2", "--k-cap", "40", "--mem-cap", "1000"), "max_len must be >= 0"),
-        (("--max-len", "3", "--jobs", "0"), "jobs must be >= 1, got 0"),
-        (("--max-len", "3", "--jobs", "-4"), "jobs must be >= 1, got -4"),
+        (("--max-len", "2", "--mode", "sampled:x:1"),
+         "sampled mode is sampled:COUNT:SEED with integer COUNT and SEED"),
     ):
-        rc, out, err = run(capsys, "fftp", "--preset", "z2_ab", "--jobs", "1", *args)
+        rc, out, err = run(capsys, "fftp", "--preset", "z2_ab", *args)
         assert rc == 2
         assert out == ""
         assert f"error: {message}" in err
@@ -147,8 +146,11 @@ def test_ac_rejects_negative_fftp_k(capsys):
     ["ac", "--preset", "z2_ab", "-N", "2"],
     ["verify-isometric", "--preset", "g2", "--max-len", "2"],
     ["signatures", "--preset", "wise", "-N", "2"],
+    ["normalize", "--preset", "z2_ab", "ab"],
+    ["fftp", "--preset", "z2_ab", "--max-len", "2"],
 ])
-def test_jobs_is_an_fftp_option_only(argv, capsys):
+def test_no_command_takes_jobs(argv, capsys):
+    # every command runs in one process
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", "2"])
     assert exc.value.code == 2
@@ -180,7 +182,7 @@ def test_verify_isometric_obeys_mem_cap(capsys):
 def test_fftp_obeys_mem_cap(capsys):
     # max-len 4 needs only 93 elements, but the k-cap 6 DP needs radius 8
     rc, _, err = run(capsys, "fftp", "--preset", "z2_abcd", "--max-len", "4",
-                     "--k-cap", "6", "--mem-cap", "100", "--jobs", "1")
+                     "--k-cap", "6", "--mem-cap", "100")
     assert rc == 2
     assert "resource error" in err
 

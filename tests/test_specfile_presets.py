@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnkit.base_groups import AbelianOracle, FreeOracle
 from hnnkit.hnn import HnnSpec, verify_isometric
@@ -7,6 +9,7 @@ from hnnkit.specfile import (
     SpecFileError,
     ast_of,
     build_from_ast,
+    load_spec_text,
     parse_spec_text,
     serialize_ast,
 )
@@ -149,3 +152,70 @@ stable s {{
 """
     with pytest.raises(SpecFileError, match=f"^stable s: .*{message}"):
         build_from_ast(parse_spec_text(text))
+
+
+_BASE = "base {\n  kind = %s\n  generators = %s\n  %s\n}\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(_BASE % ("abelian", "a b", "relator c = ab"),
+                 r"^relator c = ab: unknown generator 'c'", id="relator-word"),
+    pytest.param(_BASE % ("abelian", "a b", "") + "stable s {\n  u = [ax]\n  v = [b]\n}\n",
+                 r"^stable s: unknown generator 'x'", id="u-word"),
+    pytest.param(_BASE % ("abelian", "a b a", ""), r"^base: duplicate generator names",
+                 id="base-generator-twice"),
+    pytest.param(_BASE % ("free", "a b", "") + "stable s {\n  u = [a]\n  v = [b]\n}\n"
+                 "stable s {\n  u = [b]\n  v = [a]\n}\n",
+                 r"^stable s: the name 's' is already taken", id="stable-block-twice"),
+    pytest.param(_BASE % ("free", "a b", "") + "stable a {\n  u = [a]\n  v = [b]\n}\n",
+                 r"^stable a: the name 'a' is already taken", id="stable-named-as-base"),
+])
+def test_bad_words_and_names_are_spec_file_errors(text, message):
+    with pytest.raises(SpecFileError, match=message):
+        load_spec_text(text)
+
+
+_PRESET_LINES = {name: preset_text(name).splitlines() for name in PRESET_NAMES}
+_LINES = sorted({line for lines in _PRESET_LINES.values() for line in lines})
+_TOKENS = sorted({token for line in _LINES for token in line.split()})
+
+
+@st.composite
+def mutated_presets(draw):
+    """A shipped preset after a few insertions, deletions or duplications
+    of a whole line or of one whitespace-separated token."""
+    lines = [line.split() for line in _PRESET_LINES[draw(st.sampled_from(PRESET_NAMES))]]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if op == "insert" and draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_LINES)).split())
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):  # the whole line
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, list(lines[i]))
+            continue
+        line = lines[i]
+        if op == "insert":
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(_TOKENS)))
+        elif line:
+            j = draw(st.integers(0, len(line) - 1))
+            if op == "delete":
+                del line[j]
+            else:
+                line.insert(j, line[j])
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mutated_presets())
+def test_mutated_presets_load_or_raise_spec_file_error(text):
+    # any other exception fails the test
+    try:
+        load_spec_text(text)
+    except SpecFileError:
+        pass

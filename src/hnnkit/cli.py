@@ -262,24 +262,8 @@ def cmd_verify_isometric(args) -> int:
         return 2
     report = verify_isometric(group, args.max_len, mem_cap=args.mem_cap)
     header = _header("verify-isometric", label, {"max_len": args.max_len})
-    payload = {
-        "passed": report.passed,
-        "incomplete": report.incomplete,
-        "strip_equidistant": {
-            "passed": report.strip_equidistant.passed,
-            "witnesses": report.strip_equidistant.witnesses,
-        },
-        "geodesic": {
-            "passed": report.geodesic.passed,
-            "witnesses": report.geodesic.witnesses,
-        },
-        "totally_geodesic": {
-            "passed": report.totally_geodesic.passed,
-            "witnesses": report.totally_geodesic.witnesses,
-        },
-    }
     lines = report.lines() + [("PASS" if report.passed else "FAIL")]
-    _emit(args, _report_bytes(args.format, header, payload, lines))
+    _emit(args, _report_bytes(args.format, header, report.to_dict(), lines))
     return 0 if report.passed else 1
 
 

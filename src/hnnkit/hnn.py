@@ -548,6 +548,10 @@ class ConditionReport:
         if len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(witness)
 
+    def to_dict(self) -> dict:
+        return {"passed": self.passed, "witnesses": self.witnesses,
+                "witness_count": self.witness_count}
+
 
 @dataclass
 class IsometricReport:
@@ -565,6 +569,15 @@ class IsometricReport:
             and self.geodesic.passed
             and self.totally_geodesic.passed
         )
+
+    def to_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "incomplete": self.incomplete,
+            "strip_equidistant": self.strip_equidistant.to_dict(),
+            "geodesic": self.geodesic.to_dict(),
+            "totally_geodesic": self.totally_geodesic.to_dict(),
+        }
 
     def lines(self) -> list[str]:
         out = []

@@ -165,7 +165,19 @@ def ast_of(obj: Union[HnnSpec, BaseGroupOracle]) -> SpecAst:
     return ast
 
 
+# A generator or stable name must be spellable in a word, bare or in brackets.
+_NAME_FORBIDDEN = frozenset("[]'=,#{}")
+
+
+def _check_name(name: str, where: str):
+    if not name or any(ch.isspace() or ch in _NAME_FORBIDDEN for ch in name):
+        raise SpecFileError(f"{where}: the name {name!r} cannot be written in a word "
+                            "(it must be nonempty, with no whitespace and none of [ ] ' = , # { })")
+
+
 def build_from_ast(ast: SpecAst, name: str = "") -> Union[HnnSpec, BaseGroupOracle]:
+    for gen in ast.generators:
+        _check_name(gen, "base")
     try:
         base_alphabet = Alphabet.make(ast.generators)
     except ValueError as e:
@@ -198,6 +210,7 @@ def build_from_ast(ast: SpecAst, name: str = "") -> Union[HnnSpec, BaseGroupOrac
     pairs = []
     names = set(ast.generators)
     for st in ast.stables:
+        _check_name(st.name, f"stable {st.name}")
         if st.name in names:
             raise SpecFileError(f"stable {st.name}: the name {st.name!r} is already taken")
         names.add(st.name)

@@ -14,9 +14,12 @@ image(key, target) maps a member onto a subgroup with matched generator
 words, generator by generator; this is the isomorphism of an HNN pair.
 
 Cyclic subgroups of abelian groups are handled by exact integer arithmetic.
-Finitely generated subgroups of free groups are handled by a folded
-edge-labeled automaton; every fold keeps, per edge, an expression over the
-original generators so rewrites come out of a single trace of the element.
+Finitely generated subgroups of free groups are handled by their folded
+(Stallings) graph, kept as one map from (vertex, letter) to (vertex, expr)
+that stores each edge under both of its letters.  Every fold keeps, per
+edge, an expression over the original generators, so a rewrite comes out of
+a single walk of the element, and a coset representative out of a single
+walk of its key.
 """
 
 from __future__ import annotations
@@ -30,16 +33,12 @@ from .words import Word, free_reduce
 SubgroupWord = tuple  # of (generator index, sign) pairs
 
 # Membership answers a Stallings oracle keeps before it drops them all and
-# starts over.  Ball builds and word folds ask about the same segments again
-# and again (90 % hits on the g2 radius-8 ball and its checks, 98 % on long
-# g2 words); the bound keeps long runs from growing the cache without limit.
+# starts over.  Word folds ask about the same segments again and again (95 %
+# hits on the g2 half of the words_nf benchmark, length-200 words); a ball
+# build seldom asks twice, since its key table splits each segment once per
+# stable letter (25 % hits on the g2 radius-8 ball and its checks).  The
+# bound keeps long runs from growing the cache without limit.
 _REWRITE_CACHE_SIZE = 1 << 16
-
-
-class SchreierDepthError(RuntimeError):
-    def __init__(self, cap: int):
-        super().__init__(f"Schreier exploration exceeded depth cap {cap}")
-        self.cap = cap
 
 
 def _sw_reduce(pairs) -> SubgroupWord:
@@ -178,152 +177,90 @@ class CyclicSubgroup(SubgroupOracle):
 class StallingsSubgroup(SubgroupOracle):
     """Folded automaton for a finitely generated subgroup of a free group.
 
-    Edges carry expressions over the subgroup generators, maintained through
-    every fold, so that membership rewrites fall out of the accepting trace.
+    The graph is one two-way labelled map: _adj[v][lid] = (w, expr) is the
+    edge from v to w that reads letter id lid, and _adj[w][lid ^ 1] holds the
+    same edge read backwards, (v, expr^-1).  Each vertex v stands for an
+    element c(v) with c(0) = 1, and every entry satisfies
+    c(v) * lid * c(w)^-1 = expand(expr), so reading a member along its path
+    from the base vertex 0 back to 0 spells it over the generator words.
     """
 
-    def __init__(self, base: FreeOracle, generator_words: Sequence[Word],
-                 depth_cap: int = 10_000):
+    def __init__(self, base: FreeOracle, generator_words: Sequence[Word]):
         if not isinstance(base, FreeOracle):
             raise TypeError("stallings_subgroup requires a free base oracle")
         super().__init__(base, generator_words)
-        self.depth_cap = depth_cap
-        self._build()
-        self._fold()
-        alive = [e for e in self.edges if e[4]]
+        self._adj: list[dict[int, tuple[int, SubgroupWord]]] = [{}]
+        # merged vertex -> (kept vertex, c(kept) * c(merged)^-1); construction only
+        self._fwd: dict[int, tuple[int, SubgroupWord]] = {}
+        for j, gw in enumerate(self.generator_words):
+            v = 0
+            for p, lid in enumerate(gw.ids):
+                if p == len(gw) - 1:
+                    self._insert(v, lid, 0, ((j, 1),))
+                else:
+                    w = len(self._adj)
+                    self._adj.append({})
+                    self._insert(v, lid, w, ())
+                    v = w
+        live = len(self._adj) - len(self._fwd)
+        del self._fwd
         # rank of the subgroup: E - V + 1 of the folded (connected) graph
-        self.rank = len(alive) - len({e[0] for e in alive} | {e[2] for e in alive}) + 1
-        self._index()
+        self.rank = sum(map(len, self._adj)) // 2 - live + 1
         self._core_reps()
         self._rewrite_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build(self):
-        # edges[i] = [tail, gen, head, expr, alive]
-        self.edges: list[list] = []
-        self._incident: list[set[int]] = [set()]  # vertex -> edge ids
-        base_v = 0
-        for j, gw in enumerate(self.generator_words):
-            cur = base_v
-            n = len(gw.ids)
-            for p, lid in enumerate(gw.ids):
-                tgt = base_v if p == n - 1 else self._new_vertex()
-                g, sign = lid >> 1, (1 if lid % 2 == 0 else -1)
-                last = p == n - 1
-                if sign > 0:
-                    expr = ((j, 1),) if last else ()
-                    self._add_edge(cur, g, tgt, expr)
-                else:
-                    expr = ((j, -1),) if last else ()
-                    self._add_edge(tgt, g, cur, expr)
-                cur = tgt
+    def _resolve(self, v: int):
+        """The live vertex v was merged into, and c(live) * c(v)^-1."""
+        delta: SubgroupWord = ()
+        while v in self._fwd:
+            v, d = self._fwd[v]
+            delta = d + delta
+        return v, delta
 
-    def _new_vertex(self) -> int:
-        self._incident.append(set())
-        return len(self._incident) - 1
-
-    def _add_edge(self, tail: int, gen: int, head: int, expr: SubgroupWord) -> int:
-        eid = len(self.edges)
-        self.edges.append([tail, gen, head, expr, True])
-        self._incident[tail].add(eid)
-        self._incident[head].add(eid)
-        return eid
-
-    # -- folding -----------------------------------------------------------
-
-    def _find_conflict(self, v: int):
-        seen_out: dict[int, int] = {}
-        seen_in: dict[int, int] = {}
-        for eid in self._incident[v]:
-            tail, gen, head, _expr, alive = self.edges[eid]
-            if not alive:
-                continue
-            if tail == v:
-                if gen in seen_out and seen_out[gen] != eid:
-                    return seen_out[gen], eid, "out"
-                seen_out[gen] = eid
-            if head == v:
-                if gen in seen_in and seen_in[gen] != eid:
-                    return seen_in[gen], eid, "in"
-                seen_in[gen] = eid
-        return None
-
-    def _fold(self):
-        work = deque(range(len(self._incident)))
+    def _insert(self, v: int, lid: int, w: int, expr: SubgroupWord):
+        """Add the edge v --lid--> w and fold until the map is deterministic."""
+        adj = self._adj
+        work = [(v, lid, w, expr)]
         while work:
-            v = work.popleft()
-            while True:
-                found = self._find_conflict(v)
-                if found is None:
-                    break
-                e, f, direction = found
-                ee, ff = self.edges[e], self.edges[f]
-                # delta expresses c(kept endpoint) * c(merged endpoint)^-1
-                delta = _sw_reduce(_sw_invert(ee[3]) + ff[3])
-                if direction == "out":
-                    keep, merge = ee[2], ff[2]
-                else:
-                    # c_{tail_e} * c_{tail_f}^-1 = g_e * g_f^-1
-                    delta = _sw_reduce(ee[3] + _sw_invert(ff[3]))
-                    keep, merge = ee[0], ff[0]
-                if merge == 0:  # the base vertex stays: merge the other way
-                    keep, merge, delta = merge, keep, _sw_invert(delta)
-                if keep != merge:
-                    work.extend(self._merge_vertex(keep, merge, delta))
-                    work.append(v)
-                # after endpoint merging, f duplicates e
-                ff = self.edges[f]
-                if ff[4] and ff[0] == ee[0] and ff[1] == ee[1] and ff[2] == ee[2]:
-                    ff[4] = False
-                    self._incident[ff[0]].discard(f)
-                    self._incident[ff[2]].discard(f)
-
-    def _merge_vertex(self, keep: int, merge: int, delta: SubgroupWord):
-        """Redirect every edge at ``merge`` to ``keep``; returns vertices to recheck."""
-        touched = [keep]
-        inv_delta = _sw_invert(delta)
-        for eid in list(self._incident[merge]):
-            rec = self.edges[eid]
-            if not rec[4]:
-                continue
-            tail, _gen, head, expr, _ = rec
-            if tail == merge:
-                rec[0] = keep
-                rec[3] = _sw_reduce(delta + rec[3])
-            if head == merge:
-                rec[2] = keep
-                rec[3] = _sw_reduce(rec[3] + inv_delta)
-            self._incident[keep].add(eid)
-            touched.append(rec[0] if rec[0] != keep else rec[2])
-        self._incident[merge] = set()
-        return touched
-
-    # -- folded automaton queries -------------------------------------------
-
-    def _index(self):
-        self.out: dict[int, dict[int, tuple[int, int]]] = {}
-        self.inc: dict[int, dict[int, tuple[int, int]]] = {}
-        for eid, (tail, gen, head, _expr, alive) in enumerate(self.edges):
-            if not alive:
-                continue
-            if self.out.setdefault(tail, {}).setdefault(gen, (head, eid)) != (head, eid):
-                raise AssertionError("automaton not folded: duplicate out-label")
-            if self.inc.setdefault(head, {}).setdefault(gen, (tail, eid)) != (tail, eid):
-                raise AssertionError("automaton not folded: duplicate in-label")
+            v, lid, w, expr = work.pop()
+            v, dv = self._resolve(v)
+            w, dw = self._resolve(w)
+            expr = _sw_reduce(dv + expr + _sw_invert(dw))
+            hit = adj[v].get(lid)
+            if hit is not None:
+                # two edges leave v reading lid: identify their ends
+                keep, gone, delta = hit[0], w, _sw_reduce(_sw_invert(hit[1]) + expr)
+            else:
+                hit = adj[w].get(lid ^ 1)
+                if hit is None:
+                    adj[v][lid] = (w, expr)
+                    adj[w][lid ^ 1] = (v, _sw_invert(expr))
+                    continue
+                # folded from w's side: two edges leave w reading lid^-1
+                keep, gone = hit[0], v
+                delta = _sw_reduce(_sw_invert(hit[1]) + _sw_invert(expr))
+            if keep == gone:
+                continue  # the same edge again (or, for a non-basis, a parallel one)
+            if gone == 0:  # the base vertex stays
+                keep, gone, delta = gone, keep, _sw_invert(delta)
+            # move every edge of gone onto keep; the new edge now duplicates hit
+            self._fwd[gone] = (keep, delta)
+            for elid, (x, e) in adj[gone].items():
+                if x != gone:
+                    del adj[x][elid ^ 1]
+                    work.append((gone, elid, x, e))
+                elif elid % 2 == 0:  # a loop is stored twice; move it once
+                    work.append((gone, elid, gone, e))
+            adj[gone] = {}
 
     def is_folded(self) -> bool:
-        """Structural determinism check: no repeated label in either direction."""
-        for v in range(len(self._incident)):
-            if self._find_conflict(v) is not None:
-                return False
-        return True
+        """Structural check: every entry has its reverse, with the inverse expr."""
+        return all(self._adj[w].get(lid ^ 1) == (v, _sw_invert(expr))
+                   for v, row in enumerate(self._adj) for lid, (w, expr) in row.items())
 
-    def _step(self, v: int, lid: int):
-        g = lid >> 1
-        table = self.out if lid % 2 == 0 else self.inc
-        hit = table.get(v, {}).get(g)
-        return hit  # (next vertex, edge id) or None
+    # -- folded automaton queries -------------------------------------------
 
     def membership_with_rewrite(self, key) -> Optional[SubgroupWord]:
         if key in self._rewrite_cache:
@@ -331,21 +268,15 @@ class StallingsSubgroup(SubgroupOracle):
         v = 0
         parts: list[tuple[int, int]] = []
         result: Optional[SubgroupWord] = None
-        ok = True
         for lid in key:
-            hit = self._step(v, lid)
+            hit = self._adj[v].get(lid)
             if hit is None:
-                ok = False
                 break
-            nxt, eid = hit
-            expr = self.edges[eid][3]
-            if lid % 2 == 0:
-                parts.extend(expr)
-            else:
-                parts.extend(_sw_invert(expr))
-            v = nxt
-        if ok and v == 0:
-            result = _sw_reduce(parts)
+            v, expr = hit
+            parts.extend(expr)
+        else:
+            if v == 0:
+                result = _sw_reduce(parts)
         if len(self._rewrite_cache) >= _REWRITE_CACHE_SIZE:
             self._rewrite_cache.clear()
         self._rewrite_cache[key] = result
@@ -361,18 +292,16 @@ class StallingsSubgroup(SubgroupOracle):
         while queue:
             v = queue.popleft()
             for lid in range(n_letters):
-                hit = self._step(v, lid)
+                hit = self._adj[v].get(lid)
                 if hit is not None and hit[0] not in reps:
                     reps[hit[0]] = reps[v] + (lid,)
                     queue.append(hit[0])
         self._reps = reps
 
     def coset_rep(self, key):
-        if len(key) > self.depth_cap:
-            raise SchreierDepthError(self.depth_cap)
         v = 0
         for i, lid in enumerate(key):
-            hit = self._step(v, lid)
+            hit = self._adj[v].get(lid)
             if hit is None:
                 # the key is freely reduced, so nothing after it cancels
                 return self._reps[v] + key[i:]
@@ -384,6 +313,5 @@ def cyclic_subgroup(oracle: AbelianOracle, generator_word: Word) -> CyclicSubgro
     return CyclicSubgroup(oracle, generator_word)
 
 
-def stallings_subgroup(oracle: FreeOracle, generator_words: Sequence[Word],
-                       depth_cap: int = 10_000) -> StallingsSubgroup:
-    return StallingsSubgroup(oracle, generator_words, depth_cap=depth_cap)
+def stallings_subgroup(oracle: FreeOracle, generator_words: Sequence[Word]) -> StallingsSubgroup:
+    return StallingsSubgroup(oracle, generator_words)

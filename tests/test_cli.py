@@ -169,6 +169,22 @@ def test_verify_isometric_pass_and_fail(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_isometric_json_counts_every_witness(capsys, tmp_path):
+    spec_path = tmp_path / "broken.hnn"
+    spec_path.write_text(BROKEN)
+    rc, table, _ = run(capsys, "verify-isometric", "--spec", str(spec_path),
+                       "--max-len", "8")
+    assert rc == 1
+    rc, out, _ = run(capsys, "verify-isometric", "--spec", str(spec_path),
+                     "--max-len", "8", "--format", "json")
+    report = json.loads(out)["report"]
+    counts = {name: report[name]["witness_count"]
+              for name in ("strip_equidistant", "geodesic", "totally_geodesic")}
+    assert counts == {"strip_equidistant": 0, "geodesic": 14, "totally_geodesic": 86}
+    assert len(report["totally_geodesic"]["witnesses"]) == 8
+    assert "  ... and 78 more witnesses" in table.splitlines()
+
+
 def test_verify_isometric_obeys_mem_cap(capsys):
     # a cap of 5 is hit while measuring the generator words, 10 later on
     for cap in ("5", "10"):

@@ -175,6 +175,21 @@ def test_bad_words_and_names_are_spec_file_errors(text, message):
         load_spec_text(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param(_BASE % ("abelian", "a = b", ""), r"^base: the name '=' cannot be written",
+                 id="generator-equals"),
+    pytest.param(_BASE % ("free", "a a'", ""), r"^base: the name \"a'\" cannot be written",
+                 id="generator-apostrophe"),
+    pytest.param(_BASE % ("free", "a [b]", ""), r"^base: the name '\[b\]' cannot be written",
+                 id="generator-brackets"),
+    pytest.param(_BASE % ("free", "a b", "") + "stable s' {\n  u = [a]\n  v = [b]\n}\n",
+                 r"^stable s': the name \"s'\" cannot be written", id="stable-apostrophe"),
+])
+def test_names_the_word_syntax_cannot_spell_are_rejected(text, message):
+    with pytest.raises(SpecFileError, match=message):
+        load_spec_text(text)
+
+
 _PRESET_LINES = {name: preset_text(name).splitlines() for name in PRESET_NAMES}
 _LINES = sorted({line for lines in _PRESET_LINES.values() for line in lines})
 _TOKENS = sorted({token for line in _LINES for token in line.split()})

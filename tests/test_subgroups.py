@@ -1,16 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hnnkit.subgroups as subgroups
 from hnnkit.base_groups import abelian_from_presentation, free_oracle
+from hnnkit.cli import main as cli_main
+from hnnkit.hnn import invert_el, multiply, normal_form
 from hnnkit.presets import preset
-from hnnkit.subgroups import (
-    SchreierDepthError,
-    cyclic_subgroup,
-    stallings_subgroup,
-)
-from hnnkit.words import enumerate_words, parse_word
+from hnnkit.subgroups import cyclic_subgroup, stallings_subgroup
+from hnnkit.words import Word, enumerate_words, free_reduce, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +224,7 @@ def loop_coset_rep(sub, key):
             else:
                 suffix = suffix + (lid,)
             continue
-        hit = sub._step(v, lid)
+        hit = sub._adj[v].get(lid)
         if hit is not None:
             v = hit[0]
         else:
@@ -259,8 +259,50 @@ def test_subgroup_generator_validation(f2):
         stallings_subgroup(f2, [p("aa'b")])
 
 
-def test_schreier_depth_cap(f2):
-    p = lambda s: parse_word(f2.alphabet, s)
-    sub = stallings_subgroup(f2, [p("aa")], depth_cap=5)
-    with pytest.raises(SchreierDepthError):
-        sub.coset_rep(f2.evaluate(p("babababa")))
+def test_long_keys_fold_without_a_length_cap(capsys):
+    # coset_rep walks the key once, so a base segment of any length folds
+    text = "a" * 10002 + "s"
+    rc = cli_main(["normalize", "--preset", "g2", text])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[:2] == ["s" + "b" * 10002, "signature: s"]  # a^n s = s b^n
+    g2 = preset("g2")
+    x = normal_form(g2, parse_word(g2.alphabet, text))
+    assert multiply(g2, x, invert_el(g2, x)).is_identity()
+
+
+F2 = free_oracle(["a", "b"])
+F2_KEYS6 = [F2.evaluate(w) for w in enumerate_words(F2.alphabet, 6)]
+
+
+def reduced_words(max_len):
+    """Freely reduced nonempty letter-id tuples over F2 (ids 0..3)."""
+    def reduce(ids):
+        return tuple(free_reduce(Word(F2.alphabet, tuple(ids))).ids)
+
+    return (st.lists(st.integers(0, 3), min_size=1, max_size=max_len)
+            .map(reduce).filter(len))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gens=st.lists(reduced_words(6), min_size=1, max_size=3), data=st.data())
+def test_random_stallings_subgroups(gens, data):
+    sub = stallings_subgroup(F2, [Word(F2.alphabet, ids) for ids in gens])
+    assert sub.is_folded()
+    for key in F2_KEYS6:
+        sw = sub.membership_with_rewrite(key)
+        if sw is not None:
+            assert F2.evaluate(sub.expand(sw)) == key
+    sw_strategy = st.lists(st.tuples(st.integers(0, len(gens) - 1), st.sampled_from([1, -1])),
+                           max_size=6)
+    if sub.rank == len(gens):
+        for _ in range(5):
+            sw = subgroups._sw_reduce(data.draw(sw_strategy))
+            assert sub.membership_with_rewrite(F2.evaluate(sub.expand(sw))) == sw
+    gen_keys = [F2.evaluate(w) for w in sub.generator_words]
+    for key in F2_KEYS6:
+        r = sub.coset_rep(key)
+        assert sub.coset_rep(r) == r
+        assert sub.contains(F2.mult_key(key, F2.inv_key(r)))
+        for u in gen_keys + [F2.inv_key(u) for u in gen_keys]:
+            assert sub.coset_rep(F2.mult_key(u, key)) == r

@@ -19,8 +19,10 @@ the table never interned is not in the ball.
 The layout keeps the garbage collector's work small: distances are one
 array("i"), rows are tuples of ints, and the links are compressed sparse
 rows, the links of eid being (link_src[k], link_letter[k]) for k in
-range(link_start[eid], link_start[eid + 1]), in the order the BFS found
-them.  They are built once per sphere, and readers scan them inline.
+range(link_start[eid], link_start[eid + 1]), in (source, letter) order.
+The BFS loop only assigns ids and rows; once a sphere is complete, its
+links are built from the finished rows of the sphere before by one stable
+counting sort on the target.  Readers scan them inline.
 
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
@@ -29,7 +31,7 @@ expanded, two dicts therefore decide every code exactly: one from the codes
 of S(d - 1) and S(d) to their ids, and one for the elements of S(d + 1)
 found so far; a code in neither is new.  Each sphere moves the first dict
 on by one (S(d - 1) out, the second dict in), and both are dropped before
-the last sphere's links are merged.  So the ball keeps no code -> id map
+the last sphere's links are built.  So the ball keeps no code -> id map
 while it grows.  Lookups by key (id_of, `in`, locate, and the boundary rows
 of ball_edges) read one index over all codes, built on the first lookup
 and kept current by every later extension; a ball never queried by key
@@ -41,6 +43,15 @@ exports derived from one.  The ids of each sphere are therefore one
 contiguous range, which BallIndex.sphere(n) returns.  convexity.ac_profile
 relies on that layout: it tests membership in B(n) and S(n) by comparing
 ids with the end of S(n)'s range instead of reading distances.
+
+The same order fixes least geodesics: each sphere's ids are in shortlex
+order of the elements' shortlex least geodesics, and an element's first
+link (p, x) is the last step of its least geodesic, which is p's followed
+by x.  By induction on the sphere: the first link has the least source
+id, so the source with the least geodesic, and the least letter from it;
+and the elements of the next sphere get ids in the order of their first
+links.  shortlex_geodesic, export_ball and verify_parallel_signatures read
+least geodesics off first links.
 
 A ball is resumable: extend_ball grows it sphere by sphere from the last
 one, and ids are prefix-stable, so extending a radius-r0 ball to radius r
@@ -55,11 +66,26 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from array import array
+from itertools import accumulate
 from typing import Iterator, Optional
 
-from .limits import default_mem_cap
 from .words import Word, format_word
+
+
+MEM_CAP_ENV = "HNNKIT_MEM_CAP"
+DEFAULT_MEM_CAP = 20_000_000  # elements held by a ball index or cache
+
+
+def default_mem_cap() -> int:
+    raw = os.environ.get(MEM_CAP_ENV)
+    if raw:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{MEM_CAP_ENV} must be an integer, got {raw!r}") from None
+    return DEFAULT_MEM_CAP
 
 
 class BallCapError(RuntimeError):
@@ -106,7 +132,8 @@ class BallIndex:
     map, code -> id, is built by the first lookup by key, not by the BFS.
     trans[eid] is the row of an expanded element, else None.
     The predecessor links of eid are (link_src[k], link_letter[k]) for k in
-    range(link_start[eid], link_start[eid + 1]).
+    range(link_start[eid], link_start[eid + 1]), in (source, letter) order;
+    the first is the last step of the element's shortlex least geodesic.
     """
 
     def __init__(self, oracle, mem_cap: Optional[int] = None):
@@ -166,26 +193,14 @@ class BallIndex:
     # -- geodesic machinery -------------------------------------------------
 
     def shortlex_geodesic(self, eid: int) -> Word:
-        """The shortlex least geodesic, found among the element's ancestors only."""
-        start, src = self.link_start, self.link_src
-        ancestors = {eid}
-        stack = [eid]
-        while stack:
-            e = stack.pop()
-            for k in range(start[e], start[e + 1]):
-                p = src[k]
-                if p not in ancestors:
-                    ancestors.add(p)
-                    stack.append(p)
-        # every ancestor lies on a geodesic to eid, so the least word takes at
-        # each step the least letter onto an ancestor one sphere further out
+        """The shortlex least geodesic: the element's first links, walked back."""
+        start, src, letter = self.link_start, self.link_src, self.link_letter
         ids = []
-        v = 0
-        for d in range(1, self.dist[eid] + 1):
-            lid, v = next((lid, t) for lid, t in enumerate(self.trans[v])
-                          if t in ancestors and self.dist[t] == d)
-            ids.append(lid)
-        return Word(self.oracle.alphabet, tuple(ids))
+        while eid:
+            k = start[eid]
+            ids.append(letter[k])
+            eid = src[k]
+        return Word(self.oracle.alphabet, tuple(reversed(ids)))
 
     def geodesic_count(self, eid: int) -> int:
         """The number of geodesic words of the element (a table over the whole ball)."""
@@ -236,14 +251,10 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
         nxt: dict = {}
         nxt_setdefault = nxt.setdefault
         n_codes = n_before
-        # the links into sphere d + 1, in the order they are found: the first
-        # of each element (so in id order), and the later ones with targets
-        first_src, first_letter = array("i"), array("i")
-        later_target, later_src, later_letter = array("i"), array("i"), array("i")
         try:
             for eid in frontier:
                 row = []
-                for lid, code in enumerate(row_of(codes[eid])):
+                for code in row_of(codes[eid]):
                     tid = prev_get(code)
                     if tid is None:
                         tid = nxt_setdefault(code, n_codes)
@@ -252,12 +263,6 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
                                 raise BallCapError(mem_cap, d)
                             n_codes += 1
                             codes.append(code)
-                            first_src.append(eid)
-                            first_letter.append(lid)
-                        else:
-                            later_target.append(tid)
-                            later_src.append(eid)
-                            later_letter.append(lid)
                     row.append(tid)
                 trans[eid] = tuple(row)
         except BallCapError:
@@ -274,13 +279,13 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
             prev.update(nxt)
             lo = frontier.start
         else:
-            # the link merge below is the build's other peak: free both maps first
+            # the link build below is the build's other peak: free both maps first
             prev = prev_get = None
         nxt = nxt_setdefault = None
         n_new = len(codes) - n_before
         dist.extend(array("i", [d + 1]) * n_new)
         trans.extend([None] * n_new)
-        _append_links(ball, first_src, first_letter, later_target, later_src, later_letter)
+        _append_links(ball, frontier, n_before)
         ball.sphere_sizes.append(n_new)
         ball.radius = d + 1
         if progress is not None:
@@ -292,30 +297,32 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     ball.radius = radius
 
 
-def _append_links(ball: BallIndex, first_src, first_letter, later_target, later_src,
-                  later_letter) -> None:
-    """Add the links of a new sphere, each element's in the order they were found.
+def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
+    """Add the links of the new sphere, ids base on, from the frontier's rows.
 
-    The first links are already in element order; the later ones are sorted
-    (stably) by target and placed after their target's first link, with the
-    runs of first links in between copied whole.
+    One stable counting sort on the target: the rows are scanned in
+    (element, letter) order, so each element's links keep that order.
     """
-    src, letter, start = ball.link_src, ball.link_letter, ball.link_start
-    base = len(ball.codes) - len(first_src)
-    done = 0  # the first links of elements base .. base + done - 1 are placed
-    for k in sorted(range(len(later_target)), key=later_target.__getitem__):
-        t = later_target[k] - base
-        if t >= done:
-            src.extend(first_src[done:t + 1])
-            letter.extend(first_letter[done:t + 1])
-            start.extend(range(start[-1] + 1, start[-1] + t + 2 - done))
-            done = t + 1
-        src.append(later_src[k])
-        letter.append(later_letter[k])
-        start[-1] += 1
-    src.extend(first_src[done:])
-    letter.extend(first_letter[done:])
-    start.extend(range(start[-1] + 1, start[-1] + 1 + len(first_src) - done))
+    rows = ball.trans[frontier.start:frontier.stop]
+    counts = array("i", [0]) * (len(ball.codes) - base)
+    for row in rows:
+        for t in row:
+            if t >= base:
+                counts[t - base] += 1
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+    pos = array("i", accumulate(counts, initial=start[-1]))
+    start.extend(pos[1:])
+    slots = array("i", [0]) * (pos[-1] - len(src))
+    src.extend(slots)
+    letter.extend(slots)
+    for eid, row in zip(frontier, rows):
+        for lid, t in enumerate(row):
+            if t >= base:
+                t -= base
+                k = pos[t]
+                pos[t] = k + 1
+                src[k] = eid
+                letter[k] = lid
 
 
 def locate(ball: BallIndex, key) -> int:
@@ -345,32 +352,32 @@ def geodesics_of(ball: BallIndex, key) -> list[Word]:
     """Every geodesic word for the element, in shortlex order."""
     eid = ball.id_of(key)
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
-    memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
-
-    def rec(e: int) -> list[tuple[int, ...]]:
-        got = memo.get(e)
-        if got is not None:
-            return got
-        acc = []
+    ancestors = {eid}
+    stack = [eid]
+    while stack:
+        e = stack.pop()
         for k in range(start[e], start[e + 1]):
-            lid = letter[k]
-            acc.extend(w + (lid,) for w in rec(src[k]))
-        acc.sort()
-        memo[e] = acc
-        return acc
-
-    return [Word(ball.oracle.alphabet, ids) for ids in rec(eid)]
+            p = src[k]
+            if p not in ancestors:
+                ancestors.add(p)
+                stack.append(p)
+    # by increasing id, which is BFS order, so predecessors come first; 0 is the identity
+    words: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    for e in sorted(ancestors)[1:]:
+        words[e] = sorted(w + (letter[k],) for k in range(start[e], start[e + 1])
+                          for w in words[src[k]])
+    return [Word(ball.oracle.alphabet, ids) for ids in words[eid]]
 
 
 def export_ball(ball: BallIndex, fmt: str) -> bytes:
     """Serialize the ball; 'dot', 'json' (JSON lines) or 'csv'. Byte-stable."""
     if fmt not in ("dot", "json", "csv"):
         raise ValueError(f"unknown export format {fmt!r} (want dot, json or csv)")
-    # every element's shortlex least geodesic, extending its predecessors'
+    # every element's shortlex least geodesic: its first link's source's, then that letter
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     slex: list[tuple[int, ...]] = [()]
     for eid in range(1, len(ball)):
-        slex.append(min(slex[src[k]] + (letter[k],) for k in range(start[eid], start[eid + 1])))
+        slex.append(slex[src[start[eid]]] + (letter[start[eid]],))
     alphabet = ball.oracle.alphabet
     labels = [format_word(Word(alphabet, ids)) for ids in slex]
     if fmt == "dot":

@@ -677,7 +677,8 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
     Dynamic program over the ball in distance order: the signature of an
     element extends the signature of any predecessor, so it is unique iff
     all predecessors agree; a disagreement is reported with two geodesic
-    witness words (the element's first link and its first disagreeing one).
+    witness words: the element's shortlex least geodesic, which ends in its
+    first link, and a geodesic through its first disagreeing link.
 
     Signatures are interned in a prefix trie: id 0 is the empty signature,
     and extend[s * n_letters + l] is the id of signature s followed by
@@ -703,12 +704,11 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
             if (sigs[pid] if lid < nb else extend.get(sigs[pid] * n_letters + lid)) != sig0:
                 report.violation_count += 1
                 if len(report.violations) < MAX_WITNESSES:
-                    w1 = ball.shortlex_geodesic(p0).ids + (l0,)
                     w2 = ball.shortlex_geodesic(pid).ids + (lid,)
                     report.violations.append(
                         {
                             "element": ball.oracle.key_str(ball.key(eid)),
-                            "word1": format_word(Word(ball.oracle.alphabet, w1)),
+                            "word1": format_word(ball.shortlex_geodesic(eid)),
                             "word2": format_word(Word(ball.oracle.alphabet, w2)),
                         }
                     )

@@ -138,6 +138,33 @@ def test_geodesics_shortlex_order_and_count(z2_ab, z2_ab_ball9):
     assert z2_ab_ball9.geodesic_count(z2_ab_ball9.id_of(key)) == 6
 
 
+
+def test_geodesics_of_past_the_recursion_limit():
+    from hnnkit.base_groups import abelian_from_presentation
+
+    z = abelian_from_presentation(["a"], [])
+    ball = build_ball(z, 1500)
+    geos = geodesics_of(ball, z.evaluate(parse_word(z.alphabet, "a" * 1200)))
+    assert [format_word(g) for g in geos] == ["a" * 1200]
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("wise", 4), ("g2", 5), ("z2_abcd", 8), ("z2_ab", 8), ("f2", 5),
+])
+def test_ids_follow_shortlex_order_and_first_links_end_least_geodesics(name, radius, request):
+    group = request.getfixturevalue(name)
+    ball = build_ball(group, radius)
+    words = [ball.shortlex_geodesic(e).ids for e in range(len(ball))]
+    assert all((len(u), u) < (len(w), w) for u, w in zip(words, words[1:]))
+    for eid, ids in enumerate(words):
+        assert geodesics_of(ball, ball.key(eid))[0].ids == ids
+        if eid:
+            p = 0
+            for lid in ids[:-1]:
+                p = ball.trans[p][lid]
+            assert links_of(ball, eid)[0] == (p, ids[-1])
+
+
 def test_export_examples(z2_ab, wise):
     ball0 = build_ball(z2_ab, 0)
     dot = export_ball(ball0, "dot").decode()

@@ -15,16 +15,16 @@ the image of u across the stable letter.  The result is the unique normal
 form: two words represent the same group element iff they fold to equal
 keys.
 
-The word functions fold over one bounded segment table per spec.  It interns
-base segments as ints, fills each segment's move for a letter the first time
-the letter meets it (the next segment for a base letter, the split (r, image)
-for a stable letter), and memoizes products and inverses of segments; a fold
-state holds segment ids and stable letter ids, and keys go in and come out as
-tuples.  The pinch is read off the split: the segment lies in the crossed
-subgroup exactly when r is the identity, and then the image is what the pinch
-carries across.  Cayley balls do not use this table: a ball's HnnKeyTable
-interns segments and key prefixes itself and splits each base segment once
-per stable letter.
+One class, SegmentTable, interns base segments as ints, fills a segment's
+move for a letter the first time the letter meets it (the next segment for a
+base letter, the split (r, image) for a stable letter) and memoizes products
+and inverses.  The pinch is read off the split: the segment lies in the
+crossed subgroup exactly when r is segment 0, the identity, and then the
+image is what the pinch carries across.  The word fold owns one bounded
+table per spec, whose segment ids its states hold, and replaces it with a
+fresh one between calls once it is full.  Each Cayley ball's HnnKeyTable
+owns a table that is never replaced, and keeps key prefixes and all-letter
+rows on top of it.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from .base_groups import BaseGroupOracle, base_geodesic_length
 from .subgroups import SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
 
-# Segments the word fold's table holds before the next call clears it.  On
+# Segments the word fold's table holds before the next call replaces it.  On
 # 2,000 random words of length 200 each on wise and g2 (the words_nf
 # benchmark, which peaks at 43.7 MB without the table), one process each
 # peaked at 41.4, 44.1, 47.5 and 51.1 MB with bounds 1 << 11, 12, 13 and 14,
-# against a 5 % budget of 2.2 MB.  At 1 << 12 the table is cleared once on
+# against a 5 % budget of 2.2 MB.  At 1 << 12 the table is replaced once on
 # wise and 19 times on g2.
 _SEGMENT_TABLE_SIZE = 1 << 12
 
@@ -56,8 +56,72 @@ class AssociatedPair:
                 "associated subgroups must have the same number of generators "
                 f"({len(u.generator_words)} vs {len(v.generator_words)})"
             )
+        for side, sub in (("u", u), ("v", v)):
+            if sub.rank != len(sub.generator_words):
+                raise ValueError(f"the {side} words are not a free basis "
+                                 f"(they generate a subgroup of rank {sub.rank})")
         self.u = u
         self.v = v
+
+
+class SegmentTable:
+    """The base segments of an HnnSpec's keys, interned as ints, with their
+    moves, products and inverses; segment 0 is the identity."""
+
+    def __init__(self, spec: "HnnSpec"):
+        self.spec = spec
+        self.keys: list = []  # segment id -> base key
+        self.ids: dict = {}   # base key -> segment id
+        # segment id -> per letter: the next segment id (base letters), the split
+        # (r id, image id) (stable letters), or None; one shared row until filled
+        self._unfilled = (None,) * spec.alphabet.n_letters
+        self.moves: list = []
+        self._products: dict = {}  # (segment id, segment id) -> segment id
+        self._inverses: dict = {}  # segment id -> segment id
+        self.segment(spec.base.identity_key())
+
+    def segment(self, key) -> int:
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.moves.append(self._unfilled)
+        return sid
+
+    def _row(self, sid: int) -> list:
+        row = self.moves[sid]
+        if row is self._unfilled:
+            row = self.moves[sid] = list(row)
+        return row
+
+    def base_move(self, sid: int, lid: int) -> int:
+        nxt = self.segment(self.spec.base.apply_letter(self.keys[sid], lid))
+        self._row(sid)[lid] = nxt
+        self._row(nxt)[lid ^ 1] = sid
+        return nxt
+
+    def stable_move(self, sid: int, lid: int) -> tuple:
+        r, img = self.spec._split(self.keys[sid], *self.spec._stable_markers[lid])
+        move = self._row(sid)[lid] = (self.segment(r), self.segment(img))
+        return move
+
+    def product(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        if not a:
+            return b
+        p = self._products.get((a, b))
+        if p is None:
+            keys = self.keys
+            p = self._products[a, b] = self.segment(self.spec.base.mult_key(keys[a], keys[b]))
+        return p
+
+    def inverse(self, sid: int) -> int:
+        inv = self._inverses.get(sid)
+        if inv is None:
+            inv = self._inverses[sid] = self.segment(self.spec.base.inv_key(self.keys[sid]))
+            self._inverses[inv] = sid
+        return inv
 
 
 class HnnSpec(BaseGroupOracle):
@@ -79,7 +143,7 @@ class HnnSpec(BaseGroupOracle):
                 raise AssertionError(f"base generator {g.name!r} changes its letter ids")
         # the fold reads a pinch off the split: r is the identity exactly on
         # the crossed subgroup, which needs the identity to represent it
-        self._base_identity = ident = base.identity_key()
+        ident = base.identity_key()
         for i, pair in enumerate(self.pairs):
             for side, sub in (("U", pair.u), ("V", pair.v)):
                 if sub.coset_rep_left(ident) != ident:
@@ -88,8 +152,9 @@ class HnnSpec(BaseGroupOracle):
         nb, n_letters = self.n_base_letters, self.alphabet.n_letters
         self._stable_markers = [None] * nb + [self.stable_of_letter(lid)
                                               for lid in range(nb, n_letters)]
+        self._stable_letters = {m: lid for lid, m in enumerate(self._stable_markers) if m}
         self._lock = threading.Lock()
-        self._clear_segments()
+        self._segments = SegmentTable(self)  # the word fold's, replaced in _begin
         self.relators = tuple(self._make_relators())
 
     def _make_relators(self) -> list[Word]:
@@ -116,53 +181,6 @@ class HnnSpec(BaseGroupOracle):
 
     # -- the fold ------------------------------------------------------------
 
-    def _clear_segments(self):
-        self._segments: list = []      # segment id -> base key
-        self._segment_ids: dict = {}   # base key -> segment id
-        # segment id -> per letter: the next segment id (base letters), the
-        # split (r id, image id) (stable letters), or None until first used
-        self._moves: list = []
-        self._products: dict = {}      # (segment id, segment id) -> segment id
-        self._inverses: dict = {}      # segment id -> segment id
-        self._segment(self._base_identity)  # segment 0: a split with r == 0 may pinch
-
-    def _segment(self, key) -> int:
-        sid = self._segment_ids.get(key)
-        if sid is None:
-            sid = self._segment_ids[key] = len(self._segments)
-            self._segments.append(key)
-            self._moves.append([None] * self.alphabet.n_letters)
-        return sid
-
-    def _base_move(self, sid: int, lid: int) -> int:
-        nxt = self._segment(self.base.apply_letter(self._segments[sid], lid))
-        self._moves[sid][lid] = nxt
-        self._moves[nxt][lid ^ 1] = sid
-        return nxt
-
-    def _stable_move(self, sid: int, lid: int) -> tuple:
-        r, img = self._split(self._segments[sid], *self._stable_markers[lid])
-        move = self._moves[sid][lid] = (self._segment(r), self._segment(img))
-        return move
-
-    def _product(self, a: int, b: int) -> int:
-        if not b:
-            return a
-        if not a:
-            return b
-        p = self._products.get((a, b))
-        if p is None:
-            segs = self._segments
-            p = self._products[a, b] = self._segment(self.base.mult_key(segs[a], segs[b]))
-        return p
-
-    def _inverse(self, sid: int) -> int:
-        inv = self._inverses.get(sid)
-        if inv is None:
-            inv = self._inverses[sid] = self._segment(self.base.inv_key(self._segments[sid]))
-            self._inverses[inv] = sid
-        return inv
-
     def _split(self, tail, i: int, eps: int):
         """(r, img): tail = r * u with r its left coset representative, img the image
         of u across s_i^eps.  tail is in the crossed subgroup iff r is the identity."""
@@ -175,24 +193,26 @@ class HnnSpec(BaseGroupOracle):
         return r, img
 
     def _append_stable(self, segs: list, i: int, eps: int):
+        table = self._segments
         lid = self.n_base_letters + 2 * i + (eps < 0)
         sid = segs[-1]
-        r, img = self._moves[sid][lid] or self._stable_move(sid, lid)
+        r, img = table.moves[sid][lid] or table.stable_move(sid, lid)
         if not r and len(segs) >= 3 and segs[-2] == lid ^ 1:
             del segs[-2:]
-            segs[-1] = self._product(segs[-1], img)
+            segs[-1] = table.product(segs[-1], img)
         else:
             segs[-1] = r
             segs += (lid, img)
 
     def _fold_letters(self, segs: list, ids) -> list:
-        nb = self.n_base_letters
-        moves, markers, append_stable = self._moves, self._stable_markers, self._append_stable
+        nb, table = self.n_base_letters, self._segments
+        moves, base_move = table.moves, table.base_move
+        markers, append_stable = self._stable_markers, self._append_stable
         sid = segs[-1]
         for lid in ids:
             if lid < nb:
                 nxt = moves[sid][lid]
-                sid = self._base_move(sid, lid) if nxt is None else nxt
+                sid = base_move(sid, lid) if nxt is None else nxt
             else:
                 segs[-1] = sid
                 append_stable(segs, *markers[lid])
@@ -202,31 +222,31 @@ class HnnSpec(BaseGroupOracle):
 
     def _fold_key_onto(self, segs: list, key) -> list:
         """Multiply the element of a key onto the end of segs."""
-        segment, product, append_stable = self._segment, self._product, self._append_stable
-        segs[-1] = product(segs[-1], segment(key[0]))
+        table, append_stable = self._segments, self._append_stable
+        segs[-1] = table.product(segs[-1], table.segment(key[0]))
         for pos in range(1, len(key), 2):
             append_stable(segs, *key[pos])
-            segs[-1] = product(segs[-1], segment(key[pos + 1]))
+            segs[-1] = table.product(segs[-1], table.segment(key[pos + 1]))
         return segs
 
     def _state(self, key) -> list:
         """The fold state of a key: its segments and markers as ids."""
         segs = list(key)
-        segs[::2] = map(self._segment, key[::2])
+        segs[::2] = map(self._segments.segment, key[::2])
         segs[1::2] = [self.stable_letter_id(i, eps) for i, eps in key[1::2]]
         return segs
 
     def _key(self, segs: list) -> tuple:
         parts = list(segs)
-        parts[::2] = map(self._segments.__getitem__, segs[::2])
+        parts[::2] = map(self._segments.keys.__getitem__, segs[::2])
         parts[1::2] = map(self._stable_markers.__getitem__, segs[1::2])
         return tuple(parts)
 
     def _begin(self):
-        """Start a call of the word fold: the table is cleared only here, so the
+        """Start a call of the word fold: the table is replaced only here, so the
         ids a call holds stay valid until it returns."""
-        if len(self._segments) > _SEGMENT_TABLE_SIZE:
-            self._clear_segments()
+        if len(self._segments.keys) > _SEGMENT_TABLE_SIZE:
+            self._segments = SegmentTable(self)
 
     # -- oracle interface ------------------------------------------------------
 
@@ -251,13 +271,12 @@ class HnnSpec(BaseGroupOracle):
     def inv_key(self, key):
         with self._lock:
             self._begin()
-            segment, inverse, product = self._segment, self._inverse, self._product
-            append_stable = self._append_stable
-            segs = [inverse(segment(key[-1]))]
+            table, append_stable = self._segments, self._append_stable
+            segs = [table.inverse(table.segment(key[-1]))]
             for pos in range(len(key) - 2, 0, -2):
                 i, eps = key[pos]
                 append_stable(segs, i, -eps)
-                segs[-1] = product(segs[-1], inverse(segment(key[pos - 1])))
+                segs[-1] = table.product(segs[-1], table.inverse(table.segment(key[pos - 1])))
             return self._key(segs)
 
     def evaluate(self, word: Word):
@@ -301,71 +320,55 @@ _PREFIX_MASK = (1 << _PREFIX_BITS) - 1
 class HnnKeyTable:
     """Compact keys of the elements of one ball over an HnnSpec.
 
-    Base segments are interned as segment ids, and key prefixes (a key
-    without its last segment) as prefix ids: prefix 0 is empty, and every
-    other one is a triple (parent prefix, segment id, stable letter id)
-    whose segment is the coset representative a split left behind.  An
-    element's code is segment id << 31 | prefix id; the prefix id takes the
-    low bits, which spread the codes over a dict's slots.
+    The table belongs to the ball that made it, and so does its SegmentTable,
+    which is never replaced: the word functions never grow either.  Key
+    prefixes (a key without its last segment) are interned as prefix ids:
+    prefix 0 is empty, and every other one is a triple (parent prefix,
+    segment id, stable letter id) whose segment is the coset representative
+    a split left behind.  An element's code is segment id << 31 | prefix id;
+    the prefix id takes the low bits, which spread the codes over a dict's
+    slots.
 
     A segment's moves are computed once, all letters at a time: per base
     letter the next segment, per stable letter the split (r, image) and the
-    pinch image (the image if r is the identity, else -1).  A BFS step
-    is then a memo lookup plus at most one prefix lookup.  The table belongs
-    to the ball that made it, so the word functions never grow it.
+    pinch image (the image if r is segment 0, else -1).  A BFS step is then
+    a memo lookup plus at most one prefix lookup.
     """
 
     def __init__(self, spec: HnnSpec):
         self.spec = spec
-        self.n_base_letters = nb = spec.n_base_letters
-        n_letters = spec.alphabet.n_letters
-        self._markers = {lid: spec.stable_of_letter(lid) for lid in range(nb, n_letters)}
-        self._marker_letters = {m: lid for lid, m in self._markers.items()}
         # per stable letter: the subgroup it splits along, and that subgroup's first generator
         self._crossed = {}
-        for lid, (i, eps) in self._markers.items():
+        for (i, eps), lid in spec._stable_letters.items():
             sub = spec.pairs[i].u if eps > 0 else spec.pairs[i].v
             self._crossed[lid] = sub, sub.evaluate_subgroup_word(((0, 1),))
         self.identity = 0
-        self.segments: list = []
-        self._segment_ids: dict = {}
-        self._moves: list = []  # segment id -> (base moves, stable moves), or None
-        self._segment(spec.base.identity_key())
+        self._segments = SegmentTable(spec)
+        self._moves: dict = {}  # segment id -> (base moves, stable moves)
         # prefix id -> parent prefix, segment id and stable letter id
         self.prefix_parent, self.prefix_segment, self.prefix_letter = (
             array("i", [0]), array("i", [0]), array("i", [-1]))
         self._pushes: dict = {}  # (segment id, stable letter id) -> {parent: prefix id}
-        self._products: dict = {}  # (segment id, segment id) -> segment id of the product
-
-    def _segment(self, key) -> int:
-        sid = self._segment_ids.get(key)
-        if sid is None:
-            sid = self._segment_ids[key] = len(self.segments)
-            self.segments.append(key)
-            self._moves.append(None)
-        return sid
 
     def _fill_moves(self, sid: int) -> tuple:
         """The moves of a segment: base ones as shifted segment ids, stable ones as
         (letter, r, pushes, shifted image, pinch), pushes mapping a parent prefix to
         the prefix (parent, r, letter)."""
-        spec = self.spec
-        g = self.segments[sid]
+        spec, segment = self.spec, self._segments.segment
+        g = self._segments.keys[sid]
         apply_letter = spec.base.apply_letter
-        base_moves = tuple(self._segment(apply_letter(g, lid)) << _PREFIX_BITS
-                           for lid in range(self.n_base_letters))
+        base_moves = tuple(segment(apply_letter(g, lid)) << _PREFIX_BITS
+                           for lid in range(spec.n_base_letters))
         stable_moves = []
-        for lid, (i, eps) in self._markers.items():
-            r, img = spec._split(g, i, eps)
+        for lid, (sub, gen) in self._crossed.items():
+            r, img = spec._split(g, *spec._stable_markers[lid])
             # prefixes are interned by segment id, so a representative must be
             # canonical: its own representative, and that of r times a generator
-            sub, gen = self._crossed[lid]
             if sub.coset_rep_left(r) != r or sub.coset_rep_left(spec.base.mult_key(r, gen)) != r:
                 raise AssertionError("coset representative is not canonical")
-            pinch = r == spec._base_identity
-            r, img = self._segment(r), self._segment(img)
+            r, img = segment(r), segment(img)
             stable_moves.append((lid, r, self._pushes.setdefault((r, lid), {}),
-                                 img << _PREFIX_BITS, img if pinch else -1))
+                                 img << _PREFIX_BITS, -1 if r else img))
         moves = self._moves[sid] = (base_moves, tuple(stable_moves))
         return moves
 
@@ -373,12 +376,12 @@ class HnnKeyTable:
         """The codes of code * letter, for every letter in order."""
         pid = code & _PREFIX_MASK
         sid = code >> _PREFIX_BITS
-        base_moves, stable_moves = self._moves[sid] or self._fill_moves(sid)
+        base_moves, stable_moves = self._moves.get(sid) or self._fill_moves(sid)
         out = [s | pid for s in base_moves]
         parent, g, last = self.prefix_parent[pid], self.prefix_segment[pid], self.prefix_letter[pid]
         for lid, r, pushes, img, pinch in stable_moves:
             if pinch >= 0 and last == lid ^ 1:
-                out.append(self._product(g, pinch) << _PREFIX_BITS | parent)
+                out.append(self._segments.product(g, pinch) << _PREFIX_BITS | parent)
                 continue
             q = pushes.get(pid)
             if q is None:
@@ -391,20 +394,14 @@ class HnnKeyTable:
             out.append(img | q)
         return out
 
-    def _product(self, a: int, b: int) -> int:
-        sid = self._products.get((a, b))
-        if sid is None:
-            key = self.spec.base.mult_key(self.segments[a], self.segments[b])
-            sid = self._products[a, b] = self._segment(key)
-        return sid
-
     def key(self, code: int) -> tuple:
         """The normal-form key of a code."""
-        parts = [self.segments[code >> _PREFIX_BITS]]
+        segments = self._segments.keys
+        parts = [segments[code >> _PREFIX_BITS]]
         pid = code & _PREFIX_MASK
         while pid:
-            parts.append(self._markers[self.prefix_letter[pid]])
-            parts.append(self.segments[self.prefix_segment[pid]])
+            parts.append(self.spec._stable_markers[self.prefix_letter[pid]])
+            parts.append(segments[self.prefix_segment[pid]])
             pid = self.prefix_parent[pid]
         parts.reverse()
         return tuple(parts)
@@ -413,13 +410,13 @@ class HnnKeyTable:
         """The code of a normal-form key, or None if a part was never interned."""
         if not isinstance(key, tuple) or len(key) % 2 == 0:
             return None
-        pid = 0
+        segment_ids, pid = self._segments.ids, 0
         for pos in range(1, len(key), 2):
-            g = self._segment_ids.get(key[pos - 1])
-            pid = self._pushes.get((g, self._marker_letters.get(key[pos])), {}).get(pid)
+            lid = self.spec._stable_letters.get(key[pos])
+            pid = self._pushes.get((segment_ids.get(key[pos - 1]), lid), {}).get(pid)
             if pid is None:
                 return None
-        sid = self._segment_ids.get(key[-1])
+        sid = segment_ids.get(key[-1])
         return None if sid is None else sid << _PREFIX_BITS | pid
 
 

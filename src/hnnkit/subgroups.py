@@ -58,6 +58,7 @@ def _sw_invert(sw: SubgroupWord) -> SubgroupWord:
 class SubgroupOracle:
     base: BaseGroupOracle
     generator_words: tuple[Word, ...]
+    rank: int  # of the subgroup; equal to the number of generators on a free basis
 
     def __init__(self, base: BaseGroupOracle, generator_words: Sequence[Word]):
         self.base = base
@@ -119,6 +120,8 @@ class SubgroupOracle:
 
 class CyclicSubgroup(SubgroupOracle):
     """<w> inside an abelian base; membership is exact integer divisibility."""
+
+    rank = 1  # w has a free part, so <w> is infinite cyclic
 
     def __init__(self, base: AbelianOracle, generator_word: Word):
         if not isinstance(base, AbelianOracle):

@@ -1,9 +1,13 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
+import hnnkit.cayley
+import hnnkit.convexity
 from conftest import links_of, naive_z2_abcd_ball
+from hnnkit import hnn
 from hnnkit.cayley import (
     BallCapError,
     OutOfBallError,
@@ -15,8 +19,10 @@ from hnnkit.cayley import (
     is_geodesic,
     locate,
 )
+from hnnkit.convexity import fftp_search
+from hnnkit.hnn import verify_isometric
 from hnnkit.presets import preset
-from hnnkit.words import enumerate_words, format_word, parse_word
+from hnnkit.words import Word, enumerate_words, format_word, parse_word
 
 
 def test_sphere_sizes_examples(z2_abcd, wise):
@@ -204,6 +210,48 @@ def test_extension_equals_fresh_build(name, r0, r, request):
     ball.geodesic_count(len(ball) - 1)
     extend_ball(ball, r)
     assert _ball_state(ball) == _ball_state(build_ball(group, r))
+
+
+def test_ball_key_table_is_independent_of_the_word_folds_bound(monkeypatch):
+    monkeypatch.setattr(hnn, "_SEGMENT_TABLE_SIZE", 8)
+    g2 = preset("g2")  # fresh, so its word fold runs under the small bound
+    n = g2.alphabet.n_letters
+    rng = random.Random(19)
+    tables = [g2._segments]
+    ball = build_ball(g2, 2)
+    for r in range(3, 7):
+        # fold words between the spheres, so the spec replaces its table
+        for _ in range(10):
+            g2.evaluate(Word(g2.alphabet, tuple(rng.randrange(n) for _ in range(30))))
+            if g2._segments is not tables[-1]:
+                tables.append(g2._segments)
+        extend_ball(ball, r)
+    assert len(tables) > 30
+    assert _ball_state(ball) == _ball_state(build_ball(g2, 6))
+
+
+def test_engines_build_balls_through_their_modules_names(g2, z2_abcd, monkeypatch):
+    """verify_isometric and fftp_search look build_ball up at call time in
+    hnnkit.cayley and hnnkit.convexity, so a wrapper put there sees their builds."""
+    ball = build_ball(z2_abcd, 0)
+    calls = []
+
+    def count_builds(module):
+        real = module.build_ball
+
+        def counted(*args, **kwargs):
+            calls.append(module.__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_ball", counted)
+
+    count_builds(hnnkit.cayley)
+    count_builds(hnnkit.convexity)
+    assert verify_isometric(g2, 4).passed
+    assert calls == ["hnnkit.cayley"]
+    calls.clear()
+    fftp_search(ball, max_len=3, k_cap=2)
+    assert calls == ["hnnkit.convexity"]
 
 
 def test_extension_of_exhausted_group():
@@ -395,15 +443,19 @@ def test_lookups_across_the_ball_lifecycle(name, request):
     assert capped.radius == 7
 
 
-def test_wise_r6_ball_keeps_at_most_170_bytes_per_element():
-    wise = preset("wise")  # fresh, so the fold's memo tables are counted too
+@pytest.mark.parametrize("name,radius,elements", [
+    pytest.param("wise", 6, 222_087, id="wise-r6"),
+    pytest.param("g2", 7, 91_133, id="g2-r7"),
+])
+def test_ball_keeps_at_most_170_bytes_per_element(name, radius, elements):
+    group = preset(name)  # fresh, so the fold's memo tables are counted too
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ball = build_ball(wise, 6)
+        ball = build_ball(group, radius)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(ball) == 222_087
+    assert len(ball) == elements
     # a code -> id dict over the whole ball would add about 43 B per element
     assert kept / len(ball) <= 170

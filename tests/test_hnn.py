@@ -22,7 +22,7 @@ from hnnkit.hnn import (
 )
 from hnnkit.presets import preset
 from hnnkit.specfile import load_spec_text
-from hnnkit.subgroups import CyclicSubgroup, cyclic_subgroup
+from hnnkit.subgroups import CyclicSubgroup, cyclic_subgroup, stallings_subgroup
 from hnnkit.words import Word, format_word, free_reduce, invert, parse_word
 
 
@@ -294,18 +294,16 @@ def inverse_ids(ids):
 def test_segment_table_matches_the_reference_fold(name, monkeypatch):
     monkeypatch.setattr(hnn, "_SEGMENT_TABLE_SIZE", 8)
     spec = preset(name)  # a fresh spec, so its table starts empty
-    begin, clear = spec._begin, spec._clear_segments
-    sizes, clears = [], [0]
+    begin = spec._begin
+    sizes, tables = [], [spec._segments]
 
     def counted_begin():
         begin()
-        sizes.append(len(spec._segments))
+        if spec._segments is not tables[-1]:  # replaced by a fresh table
+            tables.append(spec._segments)
+        sizes.append(len(spec._segments.keys))
 
-    def counted_clear():
-        clears[0] += 1
-        clear()
-
-    spec._begin, spec._clear_segments = counted_begin, counted_clear
+    spec._begin = counted_begin
     n = spec.alphabet.n_letters
     rng = random.Random(14)
     words = [ids for k in range(5) for ids in itertools.product(range(n), repeat=k)]
@@ -319,7 +317,7 @@ def test_segment_table_matches_the_reference_fold(name, monkeypatch):
         prev, y = ids, x
     assert len(sizes) == 3 * len(words) + 1
     assert max(sizes) <= 8
-    assert clears[0] > len(words) // 10
+    assert len(tables) - 1 > len(words) // 10
 
 
 def test_threads_share_one_segment_table(monkeypatch):
@@ -417,6 +415,20 @@ def test_word_functions_reject_another_groups_input(wise, g2, call, message):
     y = normal_form(wise, parse_word(wise.alphabet, "s'as"))
     with pytest.raises(ValueError, match=message):
         call(wise, w, x, y)
+
+
+@pytest.mark.parametrize("u,v,side,rank", [
+    (["a", "aa"], ["b", "bbb"], "u", 1),
+    (["a", "b"], ["ab", "abab"], "v", 1),
+    (["a", "b", "ab"], ["a", "b", "ba"], "u", 2),
+])
+def test_pair_rejects_stallings_words_that_are_not_a_free_basis(f2, u, v, side, rank):
+    """On words that are not a free basis the generator-wise map is not well
+    defined: aa = a*a in <a, aa>, so s'aas would be both bb and bbb."""
+    sub = lambda texts: stallings_subgroup(f2, [parse_word(f2.alphabet, t) for t in texts])
+    with pytest.raises(ValueError, match=rf"the {side} words are not a free basis "
+                                         rf"\(they generate a subgroup of rank {rank}\)"):
+        AssociatedPair(sub(u), sub(v))
 
 
 class OffsetCosetReps(CyclicSubgroup):

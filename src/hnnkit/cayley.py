@@ -20,9 +20,14 @@ The layout keeps the garbage collector's work small: distances are one
 array("i"), rows are tuples of ints, and the links are compressed sparse
 rows, the links of eid being (link_src[k], link_letter[k]) for k in
 range(link_start[eid], link_start[eid + 1]), in (source, letter) order.
-The BFS loop only assigns ids and rows; once a sphere is complete, its
-links are built from the finished rows of the sphere before by one stable
-counting sort on the target.  Readers scan them inline.
+The BFS loop only assigns ids and rows.  Once a sphere is complete, its
+codes are appended from the dict that assigned their ids (see below; a dict
+keeps insertion order, which is id order), so a sphere cut short by the cap
+leaves no codes to take back.  Its links are then built from the finished
+rows of the sphere before by one stable counting sort on the target, whose
+cursors are the new tail of link_start itself.  Readers scan the links
+inline.  The arrays grow by the sphere a block at a time, so the build
+makes no temporary the size of a sphere beyond the sort's counts.
 
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
@@ -30,12 +35,12 @@ neighbour of S(d) lies in S(d - 1), S(d) or S(d + 1).  While S(d) is
 expanded, two dicts therefore decide every code exactly: one from the codes
 of S(d - 1) and S(d) to their ids, and one for the elements of S(d + 1)
 found so far; a code in neither is new.  Each sphere moves the first dict
-on by one (S(d - 1) out, the second dict in), and both are dropped before
-the last sphere's links are built.  So the ball keeps no code -> id map
-while it grows.  Lookups by key (id_of, `in`, locate, and the boundary rows
-of ball_edges) read one index over all codes, built on the first lookup
-and kept current by every later extension; a ball never queried by key
-never holds one.
+on by one (S(d - 1) out, the second dict in).  On the last sphere the first
+dict is dropped before the codes are appended and the second before the
+links are built.  So the ball keeps no code -> id map while it grows.
+Lookups by key (id_of, `in`, locate, and the boundary rows of ball_edges)
+read one index over all codes, built on the first lookup and kept current
+by every later extension; a ball never queried by key never holds one.
 
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
@@ -68,7 +73,7 @@ import io
 import json
 import os
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from typing import Iterator, Optional
 
 from .words import Word, format_word
@@ -76,6 +81,7 @@ from .words import Word, format_word
 
 MEM_CAP_ENV = "HNNKIT_MEM_CAP"
 DEFAULT_MEM_CAP = 20_000_000  # elements held by a ball index or cache
+_BLOCK = 1 << 14  # items per step when an array grows by a sphere or its links
 
 
 def default_mem_cap() -> int:
@@ -262,29 +268,28 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
                             if tid >= mem_cap:
                                 raise BallCapError(mem_cap, d)
                             n_codes += 1
-                            codes.append(code)
                     row.append(tid)
                 trans[eid] = tuple(row)
         except BallCapError:
-            del codes[n_before:]
             for eid in frontier:
                 trans[eid] = None
             raise
-        if ball._index is not None:
-            ball._index.update(nxt)
         if d + 1 < radius:
             # on to S(d) and S(d + 1), keeping the id ints that rows share
-            for code in codes[lo:frontier.start]:
+            for code in islice(codes, lo, frontier.start):
                 del prev[code]
             prev.update(nxt)
             lo = frontier.start
         else:
-            # the link build below is the build's other peak: free both maps first
+            # the codes and the link build below are the build's peaks: free S(d - 1) and S(d)
             prev = prev_get = None
+        codes.extend(nxt)  # insertion order is id order
+        if ball._index is not None:
+            ball._index.update(nxt)
         nxt = nxt_setdefault = None
         n_new = len(codes) - n_before
-        dist.extend(array("i", [d + 1]) * n_new)
-        trans.extend([None] * n_new)
+        _grow(dist, d + 1, n_new)
+        trans.extend(repeat(None, n_new))
         _append_links(ball, frontier, n_before)
         ball.sphere_sizes.append(n_new)
         ball.radius = d + 1
@@ -301,28 +306,46 @@ def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
     """Add the links of the new sphere, ids base on, from the frontier's rows.
 
     One stable counting sort on the target: the rows are scanned in
-    (element, letter) order, so each element's links keep that order.
+    (element, letter) order, so each element's links keep that order.  The
+    new tail of link_start holds the cursors: start[t + 1] begins at t's
+    first slot and, once t's links are placed, ends one past its last,
+    which is where t + 1's begin.
     """
-    rows = ball.trans[frontier.start:frontier.stop]
-    counts = array("i", [0]) * (len(ball.codes) - base)
-    for row in rows:
+    n_new = len(ball.codes) - base
+    if not n_new:
+        return
+    trans = ball.trans
+    counts = array("i", [0]) * n_new
+    for row in islice(trans, frontier.start, frontier.stop):
         for t in row:
             if t >= base:
                 counts[t - base] += 1
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
-    pos = array("i", accumulate(counts, initial=start[-1]))
-    start.extend(pos[1:])
-    slots = array("i", [0]) * (pos[-1] - len(src))
-    src.extend(slots)
-    letter.extend(slots)
-    for eid, row in zip(frontier, rows):
+    start.extend(islice(accumulate(counts, initial=start[-1]), n_new))
+    n_links = sum(counts)
+    counts = None  # before the link arrays grow: the build's last peak
+    _grow(src, 0, n_links)
+    _grow(letter, 0, n_links)
+    for eid, row in zip(frontier, islice(trans, frontier.start, frontier.stop)):
         for lid, t in enumerate(row):
             if t >= base:
-                t -= base
-                k = pos[t]
-                pos[t] = k + 1
+                t += 1
+                k = start[t]
+                start[t] = k + 1
                 src[k] = eid
                 letter[k] = lid
+
+
+def _grow(arr: array, value: int, n: int) -> None:
+    """Append n copies of value, a block at a time.
+
+    arr.extend(repeat(value, n)) converts every item on its own and is about
+    100 times slower; extending by one n-item array is a temporary of n items.
+    """
+    block = array(arr.typecode, [value]) * min(n, _BLOCK)
+    for _ in range(n // _BLOCK):
+        arr.extend(block)
+    arr.extend(block[:n % _BLOCK])
 
 
 def locate(ball: BallIndex, key) -> int:

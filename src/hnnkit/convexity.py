@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
+from operator import sub
 from typing import Optional
 
 from .cayley import BallIndex, OutOfBallError, build_ball
@@ -683,22 +685,31 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
     Signatures are interned in a prefix trie: id 0 is the empty signature,
     and extend[s * n_letters + l] is the id of signature s followed by
     stable letter l.  Ids are equal iff the sequences are, so each element
-    stores one int, and a link whose extension was never interned
-    disagrees with the first link's signature, which was.
+    of B(r - 1) stores one int, and a link whose extension was never
+    interned disagrees with the first link's signature, which was.  No
+    signature of the outer sphere S(r) is ever read, so none is stored, and
+    only its elements with two or more links are visited: a single link has
+    nothing to disagree with.  They are picked from link_start by iterators,
+    not slices, so the pass allocates nothing per outer element.
     """
     nb = spec.n_base_letters
     n_letters = ball.oracle.alphabet.n_letters
     report = SignatureReport(ball.radius, len(ball))
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     extend: dict[int, int] = {}
-    sigs = [0] * len(ball)
-    for eid in range(1, len(ball)):
+    outer = ball.sphere(ball.radius)
+    n_inner = outer.start  # B(r - 1) is the ids below it
+    sigs = [0] * n_inner
+    n_links = map(sub, islice(start, n_inner + 1, None), islice(start, n_inner, None))
+    several = compress(outer, map((1).__lt__, n_links))
+    for eid in chain(range(1, n_inner), several):
         first = start[eid]
         p0, l0 = src[first], letter[first]
         sig0 = sigs[p0]
         if l0 >= nb:
             sig0 = extend.setdefault(sig0 * n_letters + l0, len(extend) + 1)
-        sigs[eid] = sig0
+        if eid < n_inner:
+            sigs[eid] = sig0
         for k in range(first + 1, start[eid + 1]):
             pid, lid = src[k], letter[k]
             if (sigs[pid] if lid < nb else extend.get(sigs[pid] * n_letters + lid)) != sig0:

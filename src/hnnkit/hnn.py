@@ -344,7 +344,7 @@ class HnnKeyTable:
             self._crossed[lid] = sub, sub.evaluate_subgroup_word(((0, 1),))
         self.identity = 0
         self._segments = SegmentTable(spec)
-        self._moves: dict = {}  # segment id -> (base moves, stable moves)
+        self._moves: list = []  # segment id -> (base moves, stable moves), or None
         # prefix id -> parent prefix, segment id and stable letter id
         self.prefix_parent, self.prefix_segment, self.prefix_letter = (
             array("i", [0]), array("i", [0]), array("i", [-1]))
@@ -369,6 +369,8 @@ class HnnKeyTable:
             r, img = segment(r), segment(img)
             stable_moves.append((lid, r, self._pushes.setdefault((r, lid), {}),
                                  img << _PREFIX_BITS, -1 if r else img))
+        if sid >= len(self._moves):
+            self._moves += [None] * (sid + 1 - len(self._moves))
         moves = self._moves[sid] = (base_moves, tuple(stable_moves))
         return moves
 
@@ -376,7 +378,8 @@ class HnnKeyTable:
         """The codes of code * letter, for every letter in order."""
         pid = code & _PREFIX_MASK
         sid = code >> _PREFIX_BITS
-        base_moves, stable_moves = self._moves.get(sid) or self._fill_moves(sid)
+        moves = self._moves
+        base_moves, stable_moves = (sid < len(moves) and moves[sid]) or self._fill_moves(sid)
         out = [s | pid for s in base_moves]
         parent, g, last = self.prefix_parent[pid], self.prefix_segment[pid], self.prefix_letter[pid]
         for lid, r, pushes, img, pinch in stable_moves:

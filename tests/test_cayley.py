@@ -459,3 +459,15 @@ def test_ball_keeps_at_most_170_bytes_per_element(name, radius, elements):
     assert len(ball) == elements
     # a code -> id dict over the whole ball would add about 43 B per element
     assert kept / len(ball) <= 170
+
+
+def test_ball_build_peaks_at_most_12_bytes_per_element_above_what_it_keeps():
+    group = preset("g2")  # fresh, as above
+    tracemalloc.start()
+    try:
+        ball = build_ball(group, 7)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # S(7) is 79 % of the ball, so one temporary array("i") over it adds 3.2 B per element
+    assert (peak - kept) / len(ball) <= 12

@@ -571,6 +571,8 @@ def reference_signatures(ball, spec):
     ("wise", 5, None, 0), ("g2", 6, None, 0), ("z2_abcd", 3, 0, 34),
     ("z2_abcd", 4, 4, 30),  # c and d stable, a and b not
     ("wise", 5, 6, 5628),  # d, s and t stable
+    # every violation on the outer sphere, at an element with several links
+    ("z2_abcd", 2, 0, 12), ("z2_abcd", 2, 4, 6), ("wise", 2, 0, 20), ("g2", 3, 0, 6),
 ])
 def test_interned_signatures_match_the_tuple_dp(name, radius, n_base_letters, violations,
                                                 request):
@@ -582,12 +584,24 @@ def test_interned_signatures_match_the_tuple_dp(name, radius, n_base_letters, vi
     assert report.violation_count == violations
 
 
+def test_signatures_of_a_ball_with_an_empty_outer_sphere():
+    from hnnkit.base_groups import abelian_from_presentation
+
+    z2_cubed = abelian_from_presentation(["a", "b", "c"], ["aa", "bb", "cc"])
+    ball = build_ball(z2_cubed, 4)
+    assert ball.sphere_sizes == [1, 3, 3, 1, 0]
+    report = verify_parallel_signatures(ball, FakeSpec())
+    assert (report.violation_count, report.violations) == reference_signatures(ball, FakeSpec())
+    assert report.violation_count == 7
+
+
 def test_analysis_passes_allocate_nothing_per_element(wise):
-    # beyond the ball, the signature check keeps one int per element and
-    # ac_profile nothing per element (tracemalloc peaks, in bytes per element)
+    # beyond the ball, the signature check keeps one int per element of
+    # B(r - 1) and ac_profile nothing per element (tracemalloc peaks, in
+    # bytes per element of B(r); one int per element of B(r) would be 8)
     ball = build_ball(wise, 5)
     per_element = {}
-    for name, run, bound in (("signatures", lambda: verify_parallel_signatures(ball, wise), 12),
+    for name, run, bound in (("signatures", lambda: verify_parallel_signatures(ball, wise), 3),
                              ("ac_profile", lambda: ac_profile(ball, 4), 2)):
         tracemalloc.start()
         try:

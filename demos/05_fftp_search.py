@@ -10,7 +10,8 @@ almost-convexity constants: C is at most 3k, and for an isometric HNN
 extension over such a base, C is at most max(6k + 2, 4 max|u|).
 """
 
-from hnnkit import ac_profile, build_ball, fellow_distance, fftp_search, parse_word, preset
+from hnnkit import (ac_bound, ac_profile, build_ball, fellow_distance, fftp_search, parse_word,
+                    preset)
 
 z2 = preset("z2_abcd")
 ball = build_ball(z2, 7)
@@ -29,7 +30,8 @@ for line in report.table_lines():
 
 # The almost-convexity bound C <= 3k, checked against the measured profile.
 ac = ac_profile(build_ball(z2, 9), 8)
-print(f"\nmax C = {ac.max_c} <= 3k = {3 * report.k_min}:", ac.max_c <= 3 * report.k_min)
+label, bound = ac_bound(z2, report.k_min)
+print(f"\nmax C = {ac.max_c} <= {label} = {bound}:", ac.max_c <= bound)
 
 # Free groups: freely reduced words are all geodesic, so the searcher only
 # bites once words with cancellations are allowed in.

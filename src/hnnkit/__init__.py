@@ -55,6 +55,7 @@ from .cayley import (
 from .convexity import (
     AcReport,
     FftpReport,
+    ac_bound,
     ac_profile,
     fellow_distance,
     fftp_search,
@@ -75,8 +76,8 @@ __all__ = [
     "stable_letter_signature", "verify_isometric",
     "BallIndex", "build_ball", "distance", "export_ball", "geodesics_of",
     "is_geodesic",
-    "AcReport", "FftpReport", "ac_profile", "fellow_distance", "fftp_search",
-    "verify_parallel_signatures",
+    "AcReport", "FftpReport", "ac_bound", "ac_profile", "fellow_distance",
+    "fftp_search", "verify_parallel_signatures",
     "PRESET_NAMES", "preset", "load_spec_text", "parse_spec_text",
     "serialize_ast", "ast_of",
 ]

@@ -16,8 +16,8 @@ import time
 
 from . import __version__
 from .cayley import BallCapError, OutOfBallError, build_ball, export_ball, locate
-from .convexity import (ac_profile, check_fftp_arguments, fftp_radius, fftp_search,
-                         verify_parallel_signatures)
+from .convexity import (ac_bound, ac_profile, check_fftp_arguments, fftp_radius,
+                         fftp_search, verify_parallel_signatures)
 from .hnn import HnnSpec, normal_form, stable_letter_signature, verify_isometric
 from .presets import UnknownPresetError, preset
 from .specfile import SpecFileError, load_spec_text
@@ -190,27 +190,14 @@ def cmd_ac(args) -> int:
     header = _header("ac", label, {"N": args.N})
     payload = report.to_dict()
     lines = report.table_lines()
+    ok = True
     if args.fftp_k is not None:
-        k = args.fftp_k
-        bounds = {"3k (fellow-traveler bound for the base metric)": 3 * k}
-        if isinstance(group, HnnSpec):
-            max_u = max(
-                len(gw) for pair in group.pairs for gw in pair.u.generator_words
-            )
-            bounds[f"max(6k+2, 4*max|u|) with k={k}, max|u|={max_u}"] = max(
-                6 * k + 2, 4 * max_u
-            )
-        payload["bounds"] = {}
-        for desc, val in bounds.items():
-            ok = report.max_c <= val
-            payload["bounds"][desc] = {"value": val, "satisfied": ok}
-            lines.append(f"bound {desc}: {val} -> {'satisfied' if ok else 'VIOLATED'}")
+        desc, val = ac_bound(group, args.fftp_k)
+        ok = report.max_c <= val
+        payload["bounds"] = {desc: {"value": val, "satisfied": ok}}
+        lines.append(f"bound {desc}: {val} -> {'satisfied' if ok else 'VIOLATED'}")
     _emit(args, _report_bytes(args.format, header, payload, lines))
-    if args.fftp_k is not None and any(
-        not b["satisfied"] for b in payload.get("bounds", {}).values()
-    ):
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 def _parse_mode(text: str):

@@ -7,12 +7,12 @@ at distance at most 2 (via one- and two-letter products, never all pairs)
 and measures the shortest connecting path that stays inside the ball.  It
 visits each g on S(N) once, with one map from the h > g paired with it to
 their path: an edge or two letters through a midpoint in B(N) for near
-pairs, a BFS inside B(N) for far pairs, whose midpoints all lie on S(N+1)
-and are read off predecessor links.  Every path is walked again, and the
-map is dropped once g is done, so nothing is kept per pair.  Ball ids are
-assigned in BFS order, so with hi the end of S(N)'s id range, x is in B(N)
-iff x < hi and h > g is on S(N) iff g < h < hi: the profiler reads no
-distance and allocates nothing per element.
+pairs, a two-sided search inside B(N) for far pairs, whose midpoints all
+lie on S(N+1) and are read off predecessor links.  Every path is walked
+again, and the map is dropped once g is done, so nothing is kept per pair.
+Ball ids are assigned in BFS order, so with hi the end of S(N)'s id range,
+x is in B(N) iff x < hi and h > g is on S(N) iff g < h < hi: the profiler
+reads no distance and allocates nothing per element.
 
 The FFTP searcher works in relative coordinates: while scanning a word w and
 a candidate companion v in lockstep, the only thing that matters is the
@@ -47,7 +47,7 @@ from operator import sub
 from typing import Optional
 
 from .cayley import BallIndex, OutOfBallError, build_ball
-from .hnn import MAX_WITNESSES
+from .hnn import MAX_WITNESSES, HnnSpec
 from .words import Word, format_word
 
 INF = float("inf")
@@ -128,56 +128,44 @@ class AcReport:
 def _inside_bfs(ball: BallIndex, n: int, start: int, goal: int) -> list[int]:
     """Shortest path from start to goal through elements of B(n); letter ids.
 
-    Bidirectional: frontiers grow from both ends, the smaller one expands.
+    A two-sided search: side 0 grows from start and side 1 from goal, and
+    each side maps the elements it reached to (previous element, letter).
+    The side with the smaller frontier expands, side 0 on a tie.  The first
+    element reached from both sides is the meet, and each half of the path
+    is read back from its own side's map.
     """
     if start == goal:
         return []
     hi = ball.sphere(n).stop  # BFS ids: x is in B(n) iff x < hi
     trans = ball.trans
-    pg: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    ph: dict[int, tuple[int, int]] = {goal: (-1, -1)}
-    fg, fh = [start], [goal]
-    meet = -1
-    while fg and fh:
-        if len(fg) > len(fh):
-            fg, fh, pg, ph, swapped = fh, fg, ph, pg, True
-        else:
-            swapped = False
+    prev = ({start: (-1, -1)}, {goal: (-1, -1)})
+    frontier = [[start], [goal]]
+    while True:
+        side = len(frontier[0]) > len(frontier[1])  # a bool indexes the sides
+        mine, other = prev[side], prev[not side]
         nxt = []
-        for v in fg:
+        for v in frontier[side]:
             for lid, t in enumerate(trans[v]):
-                if t >= hi or t in pg:
-                    continue
-                pg[t] = (v, lid)
-                if t in ph:
-                    meet = t
-                    break
-                nxt.append(t)
-            if meet >= 0:
-                break
-        if swapped:
-            fg, fh, pg, ph = fh, fg, ph, pg
-            if meet >= 0:
-                break
-            fh = nxt
-        else:
-            if meet >= 0:
-                break
-            fg = nxt
-    if meet < 0:
-        raise AssertionError("same-sphere pair not connected inside the ball")
-    left: list[int] = []
-    v = meet
-    while pg[v][0] >= 0:
-        v, lid = pg[v]
-        left.append(lid)
-    left.reverse()
-    right: list[int] = []
-    v = meet
-    while ph[v][0] >= 0:
-        v, lid = ph[v]
-        right.append(lid ^ 1)
-    return left + right
+                if t < hi and t not in mine:
+                    mine[t] = (v, lid)
+                    if t in other:
+                        return _half_path(prev[0], t, 0)[::-1] + _half_path(prev[1], t, 1)
+                    nxt.append(t)
+        if not nxt:
+            raise AssertionError("same-sphere pair not connected inside the ball")
+        frontier[side] = nxt
+
+
+def _half_path(prev: dict[int, tuple[int, int]], v: int, side: int) -> list[int]:
+    """Letters read back from v along one side's map of _inside_bfs.
+
+    Side 0's come out in reverse path order; side 1's are inverted (^ 1).
+    """
+    letters = []
+    while prev[v][0] >= 0:
+        v, lid = prev[v]
+        letters.append(lid ^ side)
+    return letters
 
 
 def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
@@ -187,7 +175,7 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
     if ball.radius < n_max + 1:
         raise OutOfBallError(n_max + 1, ball.radius)
     trans = ball.trans
-    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+    start, src = ball.link_start, ball.link_src
     report = AcReport(n_max)
     for n in range(1, n_max + 1):
         d1 = d2 = c = 0
@@ -236,14 +224,25 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
             gamma = path  # a near pair's path is a shortest word between g and h
             if len(path) > 2:  # a far pair: two letters through the least common midpoint
                 m = min(m for m in trans[g] if m >= hi and m in trans[h])
-                links = range(start[m], start[m + 1])
-                gamma = (next(letter[k] for k in links if src[k] == g),
-                         next(letter[k] ^ 1 for k in links if src[k] == h))
+                gamma = (trans[g].index(m), trans[h].index(m) ^ 1)
             rec.witness_g, rec.witness_h = ball.label(g), ball.label(h)
             rec.witness_gamma = format_word(Word(ball.oracle.alphabet, gamma))
             rec.witness_path = format_word(Word(ball.oracle.alphabet, path))
         report.records.append(rec)
     return report
+
+
+def ac_bound(group, k: int) -> tuple[str, int]:
+    """The bound on C(N) that holds when the base has the k-fellow-traveler property.
+
+    Returns (label, value): 3k for a base group, and the paper's theorem,
+    max(6k+2, 4*max|u|), for an isometric HNN extension, where max|u| is the
+    longest generator word of an associated subgroup U.
+    """
+    if not isinstance(group, HnnSpec):
+        return "3k (fellow-traveler bound for the base metric)", 3 * k
+    max_u = max(len(gw) for pair in group.pairs for gw in pair.u.generator_words)
+    return f"max(6k+2, 4*max|u|) with k={k}, max|u|={max_u}", max(6 * k + 2, 4 * max_u)
 
 
 # -- falsification by fellow traveler -------------------------------------------

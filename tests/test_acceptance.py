@@ -13,7 +13,7 @@ import pytest
 from hnnkit.base_groups import base_geodesic_length
 from hnnkit.cayley import geodesics_of
 from hnnkit.cli import main as cli_main
-from hnnkit.convexity import ac_profile, fftp_search, verify_parallel_signatures
+from hnnkit.convexity import ac_bound, ac_profile, fftp_search, verify_parallel_signatures
 from hnnkit.hnn import normal_form, verify_isometric
 from hnnkit.subgroups import stallings_subgroup
 from hnnkit.words import Word, enumerate_words, format_word, invert, parse_word
@@ -66,12 +66,13 @@ def test_ac03_ac_constant_at_most_3k(z2_ab_ball9, z2_abcd_ball9, fftp_z2_abcd):
     results = []
     for ball, k_min in ((z2_ab_ball9, fftp_ab.k_min), (z2_abcd_ball9, fftp_z2_abcd.k_min)):
         report = ac_profile(ball, 8)
-        assert report.max_c <= 3 * k_min, (report.max_c, k_min)
+        label, bound = ac_bound(ball.oracle, k_min)
+        assert label.startswith("3k") and report.max_c <= bound, (report.max_c, k_min)
         assert report.max_c == 2  # derived regression value
-        results.append((report.max_c, k_min))
+        results.append((report.max_c, bound))
     print(
         "AC-3 PASS: maxC <= 3k for (Z2,ab) and (Z2,abcd): "
-        + ", ".join(f"maxC={c} vs 3k={3*k}" for c, k in results)
+        + ", ".join(f"maxC={c} vs 3k={b}" for c, b in results)
     )
 
 
@@ -90,8 +91,7 @@ def test_ac04_abelian_fftp_terminates(fftp_z2_abcd):
 def test_ac05_hnn_convexity_bound(wise, g2, wise_ball7, g2_ball7, f2_ball7, fftp_z2_abcd):
     # Wise's group: base fellow-traveler constant from the abelian search
     k_wise = fftp_z2_abcd.k_min
-    max_u_wise = max(len(gw) for pair in wise.pairs for gw in pair.u.generator_words)
-    bound_wise = max(6 * k_wise + 2, 4 * max_u_wise)
+    label_wise, bound_wise = ac_bound(wise, k_wise)
     rep_w = ac_profile(wise_ball7, 6)
     assert {r.radius: r.c for r in rep_w.records} == WISE_C
     assert rep_w.max_c <= bound_wise, (rep_w.max_c, bound_wise)
@@ -103,17 +103,14 @@ def test_ac05_hnn_convexity_bound(wise, g2, wise_ball7, g2_ball7, f2_ball7, fftp
     assert fftp_f2.verified and fftp_f2.k_min == KMIN_F2_UNREDUCED
     fftp_f2_reduced = fftp_search(f2_ball7, max_len=7, k_cap=6)
     assert fftp_f2_reduced.k_min == 0
-    max_u_g2 = max(len(gw) for pair in g2.pairs for gw in pair.u.generator_words)
-    bound_g2 = min(
-        max(6 * fftp_f2.k_min + 2, 4 * max_u_g2),
-        max(6 * fftp_f2_reduced.k_min + 2, 4 * max_u_g2),
-    )
+    label_g2, bound_g2 = min((ac_bound(g2, fftp_f2.k_min), ac_bound(g2, fftp_f2_reduced.k_min)),
+                             key=lambda bound: bound[1])
     rep_g = ac_profile(g2_ball7, 6)
     assert {r.radius: r.c for r in rep_g.records} == G2_C
     assert rep_g.max_c <= bound_g2, (rep_g.max_c, bound_g2)
     print(
-        f"AC-5 PASS: wise maxC={rep_w.max_c} <= max(6k+2, 4max|u|)={bound_wise} (k={k_wise}); "
-        f"g2 maxC={rep_g.max_c} <= {bound_g2} (k={fftp_f2.k_min})"
+        f"AC-5 PASS: wise maxC={rep_w.max_c} <= {label_wise}: {bound_wise}; "
+        f"g2 maxC={rep_g.max_c} <= {label_g2}: {bound_g2}"
     )
 
 

@@ -86,6 +86,15 @@ def test_ac_json(capsys):
     assert all(b["satisfied"] for b in doc["report"]["bounds"].values())
 
 
+def test_ac_holds_an_extension_to_the_theorems_bound_only(capsys):
+    # k = 0 is f2's constant over freely reduced words (AC-5); the base's
+    # bound 3k = 0 does not apply to the extension, whose theorem gives 12
+    rc, out, _ = run(capsys, "ac", "--preset", "g2", "-N", "6", "--fftp-k", "0")
+    assert rc == 0
+    bounds = [line for line in out.splitlines() if line.startswith("bound ")]
+    assert bounds == ["bound max(6k+2, 4*max|u|) with k=0, max|u|=3: 12 -> satisfied"]
+
+
 def test_fftp_exit_codes(capsys):
     rc, out, _ = run(capsys, "fftp", "--preset", "z2_ab", "--max-len", "4",
                      "--k-cap", "6", "--format", "json")

@@ -13,6 +13,7 @@ from hnnkit.cayley import OutOfBallError, build_ball
 import hnnkit.convexity as cx
 from hnnkit.convexity import (
     _FftpContext,
+    ac_bound,
     ac_profile,
     fellow_distance,
     fftp_search,
@@ -494,6 +495,78 @@ def test_ac_profile_whole_reports(name, request):
     }
 
 
+def reference_inside_bfs(ball, n, start, goal):
+    """Reference far-pair search: one pair of maps and frontiers, swapped so
+    that the smaller frontier expands, and swapped back after each level."""
+    if start == goal:
+        return []
+    hi = ball.sphere(n).stop
+    trans = ball.trans
+    pg = {start: (-1, -1)}
+    ph = {goal: (-1, -1)}
+    fg, fh = [start], [goal]
+    meet = -1
+    while fg and fh:
+        if len(fg) > len(fh):
+            fg, fh, pg, ph, swapped = fh, fg, ph, pg, True
+        else:
+            swapped = False
+        nxt = []
+        for v in fg:
+            for lid, t in enumerate(trans[v]):
+                if t >= hi or t in pg:
+                    continue
+                pg[t] = (v, lid)
+                if t in ph:
+                    meet = t
+                    break
+                nxt.append(t)
+            if meet >= 0:
+                break
+        if swapped:
+            fg, fh, pg, ph = fh, fg, ph, pg
+            if meet >= 0:
+                break
+            fh = nxt
+        else:
+            if meet >= 0:
+                break
+            fg = nxt
+    if meet < 0:
+        raise AssertionError("same-sphere pair not connected inside the ball")
+    left = []
+    v = meet
+    while pg[v][0] >= 0:
+        v, lid = pg[v]
+        left.append(lid)
+    left.reverse()
+    right = []
+    v = meet
+    while ph[v][0] >= 0:
+        v, lid = ph[v]
+        right.append(lid ^ 1)
+    return left + right
+
+
+def test_inside_bfs_matches_the_reference_on_every_far_pair(monkeypatch, wise, g2_ball7):
+    real = cx._inside_bfs
+    calls = []
+
+    def checked(ball, n, g, h):
+        path = real(ball, n, g, h)
+        assert path == reference_inside_bfs(ball, n, g, h), (n, g, h)
+        calls.append((n, g, h))
+        return path
+
+    monkeypatch.setattr(cx, "_inside_bfs", checked)
+    counts = []
+    for ball, n_max in ((g2_ball7, 6), (build_ball(wise, 6), 5)):
+        calls.clear()
+        ac_profile(ball, n_max)
+        counts.append(len(calls))
+    assert counts == [4430, 76]
+
+
 def test_ac_profile_rejects_negative_radius(z2_ab):
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         ac_profile(build_ball(z2_ab, 1), -1)
@@ -506,7 +579,13 @@ def test_cross_engine_abelian_bound(z2_ab_ball9, z2_abcd_ball9):
         fftp = fftp_search(ball, max_len=5, k_cap=6)
         ac = ac_profile(ball, 6)
         assert fftp.k_min > 0
-        assert ac.max_c <= 3 * fftp.k_min
+        assert ac.max_c <= ac_bound(ball.oracle, fftp.k_min)[1]
+
+
+def test_ac_bound_of_base_groups_and_extensions(wise, g2, z2_ab):
+    assert ac_bound(wise, 2) == ("max(6k+2, 4*max|u|) with k=2, max|u|=1", 14)
+    assert ac_bound(g2, 0) == ("max(6k+2, 4*max|u|) with k=0, max|u|=3", 12)
+    assert ac_bound(z2_ab, 2) == ("3k (fellow-traveler bound for the base metric)", 6)
 
 
 def test_parallel_signatures(wise, g2, g2_ball7):

@@ -4,7 +4,8 @@ The extension is described by a base-group oracle, stable letters s_i and
 pairs of associated subgroups (U_i, V_i) with matched generator lists; the
 defining relations are s_i^-1 u_ij s_i = v_ij.  The isomorphism between U_i
 and V_i acts generator-wise, which is exactly what the subgroup oracles'
-image method provides.
+image method provides.  Britton reduction is one left-to-right pass over an
+output stack, which cuts each pinch back to its opening stable letter.
 
 Canonical forms are built by a single left-to-right fold over letters.  The
 working state is an alternating list [g0, s, g1, ..., gl] of base segments
@@ -453,57 +454,56 @@ class Pinch:
     rewrite: SubgroupWord
 
 
-def find_pinch(spec: HnnSpec, w: Word, start: int = 0) -> Optional[Pinch]:
-    """Leftmost innermost pinch of a freely reduced word, or None.
+def _pinch_rewrite(spec: HnnSpec, opening: int, segment: tuple) -> Optional[tuple]:
+    """(rewrite, target subgroup) if opening, segment, opening^-1 is a pinch, else None."""
+    i, sign = spec.stable_of_letter(opening)
+    pair = spec.pairs[i]
+    sub, target = (pair.u, pair.v) if sign < 0 else (pair.v, pair.u)
+    rewrite = sub.membership_with_rewrite(spec.base.evaluate(Word(spec.base.alphabet, segment)))
+    return None if rewrite is None else (rewrite, target)
 
-    Only stable letters at position ``start`` or later open a candidate.
-    """
+
+def find_pinch(spec: HnnSpec, w: Word) -> Optional[Pinch]:
+    """Leftmost innermost pinch of a freely reduced word, or None."""
     if w.alphabet != spec.alphabet:
         raise ValueError("word is over a different alphabet")
-    nb = spec.n_base_letters
-    positions = [(pos, lid) for pos, lid in enumerate(w.ids[start:], start) if lid >= nb]
-    for (q, lq), (p, lp) in zip(positions, positions[1:]):
-        i, sq = spec.stable_of_letter(lq)
-        i2, sp = spec.stable_of_letter(lp)
-        if i != i2 or sq != -sp:
-            continue
-        seg = Word(spec.base.alphabet, w.ids[q + 1 : p])
-        key = spec.base.evaluate(seg)
-        sub = spec.pairs[i].u if sq < 0 else spec.pairs[i].v
-        sw = sub.membership_with_rewrite(key)
-        if sw is not None:
-            direction = "s'us" if sq < 0 else "svs'"
-            return Pinch(q, p, i, direction, sw)
+    ids, nb = w.ids, spec.n_base_letters
+    positions = [pos for pos, lid in enumerate(ids) if lid >= nb]
+    for q, p in zip(positions, positions[1:]):
+        if ids[p] == ids[q] ^ 1 and (found := _pinch_rewrite(spec, ids[q], ids[q + 1 : p])):
+            i, sign = spec.stable_of_letter(ids[q])
+            return Pinch(q, p, i, "s'us" if sign < 0 else "svs'", found[0])
     return None
 
 
 def britton_reduce(spec: HnnSpec, w: Word) -> Word:
-    """Repeatedly remove pinches until the word is stable letter reduced."""
+    """Remove pinches in one pass.  The word is freely reduced first, since
+    letters must cancel before a pinch is taken (on wise, sds's is sd, not as).
+    Each letter then cancels the last output letter, closes a pinch with the
+    last stable letter of the output (cut back there; the image is read next)
+    or is appended."""
     if w.alphabet != spec.alphabet:
         raise ValueError("word is over a different alphabet")
-    w = free_reduce(w)
     nb = spec.n_base_letters
-    start = 0
-    while True:
-        pinch = find_pinch(spec, w, start)
-        if pinch is None:
-            return w
-        pair = spec.pairs[pinch.pair_index]
-        target = pair.v if pinch.direction == "s'us" else pair.u
-        image = target.expand(pinch.rewrite)
-        # free reduction onto the (freely reduced) prefix as a stack; the
-        # prefix's first `kept` letters are left as they were
-        ids = list(w.ids[: pinch.start])
-        kept = len(ids)
-        for lid in image.ids + w.ids[pinch.end + 1 :]:
-            if ids and ids[-1] == lid ^ 1:
-                ids.pop()
-                kept = min(kept, len(ids))
-            else:
-                ids.append(lid)
-        w = Word(spec.alphabet, tuple(ids))
-        # stable pairs closing before `kept` were scanned, unchanged, before this pinch
-        start = next((pos for pos in range(kept - 1, -1, -1) if ids[pos] >= nb), 0)
+    todo = list(reversed(free_reduce(w).ids))
+    out, opens = [], []  # the output and the positions of its stable letters
+    while todo:
+        lid = todo.pop()
+        if out and out[-1] == lid ^ 1:
+            if out.pop() >= nb:
+                opens.pop()
+            continue
+        if lid >= nb:
+            if opens and out[q := opens[-1]] == lid ^ 1 and (
+                    found := _pinch_rewrite(spec, lid ^ 1, tuple(out[q + 1 :]))):
+                rewrite, target = found
+                todo += reversed(target.expand(rewrite).ids)
+                del out[q:]
+                opens.pop()
+                continue
+            opens.append(len(out))
+        out.append(lid)
+    return Word(spec.alphabet, tuple(out))
 
 
 def normal_form(spec: HnnSpec, w: Word) -> NormalForm:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -97,16 +98,53 @@ def pinch_rich_ids(spec, rng, length, depth=2):
 
 
 @pytest.mark.parametrize("name", ["wise", "g2"])
-def test_britton_resume_matches_the_full_rescan(name):
+def test_britton_pass_matches_the_full_rescan(name):
     spec = preset(name)
     n = spec.alphabet.n_letters
     rng = random.Random(9)
     words = [ids for k in range(5) for ids in itertools.product(range(n), repeat=k)]
     words += [tuple(rng.randrange(n) for _ in range(200)) for _ in range(15)]
     words += [pinch_rich_ids(spec, rng, 200) for _ in range(15)]
+    words += [pinch_rich_ids(spec, rng, 2000, depth=4) for _ in range(10)]
     for ids in words:
         w = Word(spec.alphabet, ids)
         assert britton_reduce(spec, w) == reference_britton(spec, w)
+
+
+@pytest.mark.parametrize("kind", ["random", "pinch-rich"])
+@pytest.mark.parametrize("name", ["wise", "g2"])
+def test_britton_pass_on_long_words_counts_its_work(name, kind):
+    """On 10^5 letters: at most one membership test per stable letter and at
+    most one base letter evaluated per input letter, so the pass is linear."""
+    spec = preset(name)
+    rng = random.Random(13)
+    length = 100_000
+    if kind == "random":
+        ids = tuple(rng.randrange(spec.alphabet.n_letters) for _ in range(length))
+    else:
+        ids = pinch_rich_ids(spec, rng, length, depth=4)
+    w = Word(spec.alphabet, ids)
+    counts = {"membership": 0, "letters": 0}
+
+    def membership(key, inner):
+        counts["membership"] += 1
+        return inner(key)
+
+    def evaluate(word, inner=spec.base.evaluate):
+        counts["letters"] += len(word)
+        return inner(word)
+
+    for sub in {id(s): s for pair in spec.pairs for s in (pair.u, pair.v)}.values():
+        sub.membership_with_rewrite = functools.partial(membership,
+                                                        inner=sub.membership_with_rewrite)
+    spec.base.evaluate = evaluate
+    out = britton_reduce(spec, w)
+    stable = sum(lid >= spec.n_base_letters for lid in free_reduce(w).ids)
+    assert counts["membership"] <= stable
+    assert counts["letters"] <= len(w)
+    assert free_reduce(out) == out
+    assert find_pinch(spec, out) is None
+    assert normal_form(spec, out) == normal_form(spec, w)
 
 
 def test_normal_form_examples(wise, g2):

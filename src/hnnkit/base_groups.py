@@ -6,10 +6,13 @@ and free groups (canonical keys are freely reduced words).  Every oracle
 exposes the same small surface used throughout the toolkit:
 
     identity_key() -> key
-    apply_letter(key, lid) / apply_letter_left(lid, key)
+    apply_letter(key, lid)
     mult_key(k1, k2), inv_key(k)
     evaluate(word) -> key
     key_str(key), word_of_key(key)
+
+apply_letter_left(lid, key) is derived once, in BaseGroupOracle: the key of
+the letter times the key.
 
 Keys are hashable values; two words represent the same group element iff
 their keys are equal.
@@ -36,7 +39,7 @@ class BaseGroupOracle:
         raise NotImplementedError
 
     def apply_letter_left(self, lid: int, key):
-        raise NotImplementedError
+        return self.mult_key(self.apply_letter(self.identity_key(), lid), key)
 
     def mult_key(self, k1, k2):
         raise NotImplementedError
@@ -319,9 +322,6 @@ class AbelianOracle(BaseGroupOracle):
         d = self._deltas[lid]
         return self._norm([a + b for a, b in zip(key, d)])
 
-    def apply_letter_left(self, lid: int, key):
-        return self.apply_letter(key, lid)
-
     def mult_key(self, k1, k2):
         return self._norm([a + b for a, b in zip(k1, k2)])
 
@@ -366,11 +366,6 @@ class FreeOracle(BaseGroupOracle):
         if key and key[-1] == lid ^ 1:
             return key[:-1]
         return key + (lid,)
-
-    def apply_letter_left(self, lid: int, key):
-        if key and key[0] == lid ^ 1:
-            return key[1:]
-        return (lid,) + key
 
     def mult_key(self, k1, k2):
         i = len(k1)
@@ -420,6 +415,8 @@ def base_geodesic_length(oracle: BaseGroupOracle, w: Word,
     Oracles without an exact length read it off the ball over this oracle,
     which is extended as far as the element needs.
     """
+    if ball is not None and ball.oracle is not oracle:
+        raise ValueError("the ball is over a different oracle")
     key = oracle.evaluate(w)
     exact = oracle.geodesic_length_exact(key)
     if exact is not None:

@@ -140,9 +140,7 @@ def cmd_normalize(args) -> int:
                 if not group.base.is_identity(part):
                     parts.append(_geodesic_base_word(base_ball, part))
             else:
-                i, eps = part
-                name = group.alphabet.stable_generators[i].name
-                parts.append(name if eps > 0 else name + "'")
+                parts.append(group.alphabet.letter_str(group.stable_letter_id(*part)))
         sig = " ".join(
             name + ("" if eps > 0 else "'") for name, eps in stable_letter_signature(nf)
         )

@@ -239,6 +239,8 @@ def ac_bound(group, k: int) -> tuple[str, int]:
     max(6k+2, 4*max|u|), for an isometric HNN extension, where max|u| is the
     longest generator word of an associated subgroup U.
     """
+    if k < 0:
+        raise ValueError(f"the fellow-traveler constant k must be >= 0, got {k}")
     if not isinstance(group, HnnSpec):
         return "3k (fellow-traveler bound for the base metric)", 3 * k
     max_u = max(len(gw) for pair in group.pairs for gw in pair.u.generator_words)

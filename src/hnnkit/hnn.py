@@ -4,8 +4,11 @@ The extension is described by a base-group oracle, stable letters s_i and
 pairs of associated subgroups (U_i, V_i) with matched generator lists; the
 defining relations are s_i^-1 u_ij s_i = v_ij.  The isomorphism between U_i
 and V_i acts generator-wise, which is exactly what the subgroup oracles'
-image method provides.  Britton reduction is one left-to-right pass over an
-output stack, which cuts each pinch back to its opening stable letter.
+image method provides.  One sign rule says which subgroups a stable letter
+joins: s_i^eps crosses U_i onto V_i if eps > 0, else V_i onto U_i.  HnnSpec
+applies it once, in a table per stable letter id that the fold, the key
+tables and the pinch test read.  Britton reduction is one left-to-right pass
+over an output stack, which cuts each pinch back to its opening stable letter.
 
 Canonical forms are built by a single left-to-right fold over letters.  The
 working state is an alternating list [g0, s, g1, ..., gl] of base segments
@@ -102,7 +105,7 @@ class SegmentTable:
         return nxt
 
     def stable_move(self, sid: int, lid: int) -> tuple:
-        r, img = self.spec._split(self.keys[sid], *self.spec._stable_markers[lid])
+        r, img = self.spec._split(self.keys[sid], lid)
         move = self._row(sid)[lid] = (self.segment(r), self.segment(img))
         return move
 
@@ -126,7 +129,11 @@ class SegmentTable:
 
 
 class HnnSpec(BaseGroupOracle):
-    """A multiple HNN extension, usable as an element oracle for ball builds."""
+    """A multiple HNN extension, usable as an element oracle for ball builds.
+
+    Its table per stable letter id (s_i^eps, after the base letters) holds the
+    marker (i, eps) that keys carry and the sides (crossed, target): (U_i, V_i)
+    if eps > 0, else (V_i, U_i)."""
 
     def __init__(self, base: BaseGroupOracle, stable_names: Sequence[str],
                  pairs: Sequence[AssociatedPair], name: str = ""):
@@ -150,9 +157,12 @@ class HnnSpec(BaseGroupOracle):
                 if sub.coset_rep_left(ident) != ident:
                     raise ValueError(f"pair {i} {side}: the coset representative of "
                                      "the subgroup itself is not the identity")
-        nb, n_letters = self.n_base_letters, self.alphabet.n_letters
-        self._stable_markers = [None] * nb + [self.stable_of_letter(lid)
-                                              for lid in range(nb, n_letters)]
+        # the stable letter table, indexed by letter id (None for base letters)
+        self._stable_markers = [None] * self.n_base_letters
+        self._sides = [None] * self.n_base_letters
+        for i, pair in enumerate(self.pairs):
+            self._stable_markers += [(i, 1), (i, -1)]
+            self._sides += [(pair.u, pair.v), (pair.v, pair.u)]
         self._stable_letters = {m: lid for lid, m in enumerate(self._stable_markers) if m}
         self._lock = threading.Lock()
         self._segments = SegmentTable(self)  # the word fold's, replaced in _begin
@@ -161,7 +171,7 @@ class HnnSpec(BaseGroupOracle):
     def _make_relators(self) -> list[Word]:
         rels = [Word(self.alphabet, r.ids) for r in self.base.relators]
         for i, pair in enumerate(self.pairs):
-            s_pos = self.n_base_letters + 2 * i
+            s_pos = self._stable_letters[i, 1]
             for uw, vw in zip(pair.u.generator_words, pair.v.generator_words):
                 ids = (
                     (s_pos ^ 1,)
@@ -174,19 +184,17 @@ class HnnSpec(BaseGroupOracle):
 
     def stable_of_letter(self, lid: int) -> tuple[int, int]:
         """(pair index, sign) of a stable letter id."""
-        rel = lid - self.n_base_letters
-        return rel >> 1, (1 if rel % 2 == 0 else -1)
+        return self._stable_markers[lid]
 
     def stable_letter_id(self, i: int, sign: int) -> int:
-        return self.n_base_letters + 2 * i + (0 if sign > 0 else 1)
+        return self._stable_letters[i, 1 if sign > 0 else -1]
 
     # -- the fold ------------------------------------------------------------
 
-    def _split(self, tail, i: int, eps: int):
+    def _split(self, tail, lid: int):
         """(r, img): tail = r * u with r its left coset representative, img the image
-        of u across s_i^eps.  tail is in the crossed subgroup iff r is the identity."""
-        pair = self.pairs[i]
-        sub, target = (pair.u, pair.v) if eps > 0 else (pair.v, pair.u)
+        of u across letter lid.  tail is in the crossed subgroup iff r is the identity."""
+        sub, target = self._sides[lid]
         r = sub.coset_rep_left(tail)
         img = sub.image(self.base.mult_key(self.base.inv_key(r), tail), target)
         if img is None:
@@ -195,7 +203,7 @@ class HnnSpec(BaseGroupOracle):
 
     def _append_stable(self, segs: list, i: int, eps: int):
         table = self._segments
-        lid = self.n_base_letters + 2 * i + (eps < 0)
+        lid = self._stable_letters[i, eps]
         sid = segs[-1]
         r, img = table.moves[sid][lid] or table.stable_move(sid, lid)
         if not r and len(segs) >= 3 and segs[-2] == lid ^ 1:
@@ -234,7 +242,7 @@ class HnnSpec(BaseGroupOracle):
         """The fold state of a key: its segments and markers as ids."""
         segs = list(key)
         segs[::2] = map(self._segments.segment, key[::2])
-        segs[1::2] = [self.stable_letter_id(i, eps) for i, eps in key[1::2]]
+        segs[1::2] = map(self._stable_letters.__getitem__, key[1::2])
         return segs
 
     def _key(self, segs: list) -> tuple:
@@ -258,11 +266,6 @@ class HnnSpec(BaseGroupOracle):
         with self._lock:
             self._begin()
             return self._key(self._fold_letters(self._state(key), (lid,)))
-
-    def apply_letter_left(self, lid: int, key):
-        with self._lock:
-            self._begin()
-            return self._key(self._fold_key_onto(self._fold_letters([0], (lid,)), key))
 
     def mult_key(self, k1, k2):
         with self._lock:
@@ -305,8 +308,7 @@ class HnnSpec(BaseGroupOracle):
             if pos % 2 == 0:
                 ids.extend(self.base.word_of_key(part).ids)
             else:
-                i, eps = part
-                ids.append(self.stable_letter_id(i, eps))
+                ids.append(self._stable_letters[part])
         return Word(self.alphabet, tuple(ids))
 
     def key_table(self) -> "HnnKeyTable":
@@ -339,10 +341,8 @@ class HnnKeyTable:
     def __init__(self, spec: HnnSpec):
         self.spec = spec
         # per stable letter: the subgroup it splits along, and that subgroup's first generator
-        self._crossed = {}
-        for (i, eps), lid in spec._stable_letters.items():
-            sub = spec.pairs[i].u if eps > 0 else spec.pairs[i].v
-            self._crossed[lid] = sub, sub.evaluate_subgroup_word(((0, 1),))
+        self._crossed = {lid: (sides[0], sides[0].evaluate_subgroup_word(((0, 1),)))
+                         for lid, sides in enumerate(spec._sides) if sides}
         self.identity = 0
         self._segments = SegmentTable(spec)
         self._moves: list = []  # segment id -> (base moves, stable moves), or None
@@ -362,7 +362,7 @@ class HnnKeyTable:
                            for lid in range(spec.n_base_letters))
         stable_moves = []
         for lid, (sub, gen) in self._crossed.items():
-            r, img = spec._split(g, *spec._stable_markers[lid])
+            r, img = spec._split(g, lid)
             # prefixes are interned by segment id, so a representative must be
             # canonical: its own representative, and that of r times a generator
             if sub.coset_rep_left(r) != r or sub.coset_rep_left(spec.base.mult_key(r, gen)) != r:
@@ -455,10 +455,9 @@ class Pinch:
 
 
 def _pinch_rewrite(spec: HnnSpec, opening: int, segment: tuple) -> Optional[tuple]:
-    """(rewrite, target subgroup) if opening, segment, opening^-1 is a pinch, else None."""
-    i, sign = spec.stable_of_letter(opening)
-    pair = spec.pairs[i]
-    sub, target = (pair.u, pair.v) if sign < 0 else (pair.v, pair.u)
+    """(rewrite, target subgroup) if opening, segment, opening^-1 is a pinch, else None:
+    the segment must lie in the subgroup that the closing letter crosses."""
+    sub, target = spec._sides[opening ^ 1]
     rewrite = sub.membership_with_rewrite(spec.base.evaluate(Word(spec.base.alphabet, segment)))
     return None if rewrite is None else (rewrite, target)
 

@@ -124,6 +124,18 @@ def test_length_symmetry_and_triangle(wise_base, wise_cache):
             assert abs(luv - lu) <= lv
 
 
+def test_geodesic_length_rejects_a_ball_over_another_oracle(z2_ab, z2_abcd):
+    """A ball over Z^2 with the extra generators c = ab and d = c^2 would
+    give aab length 2 and aabb length 3, not 3 and 4."""
+    p = lambda s: parse_word(z2_ab.alphabet, s)
+    foreign = build_ball(z2_abcd, 0)
+    for text in ("aab", "aabb"):
+        with pytest.raises(ValueError, match="different oracle"):
+            base_geodesic_length(z2_ab, p(text), foreign)
+    own = build_ball(z2_ab, 0)
+    assert [base_geodesic_length(z2_ab, p(t), own) for t in ("aab", "aabb")] == [3, 4]
+
+
 def test_radius_cap_error():
     z2 = abelian_from_presentation(["a", "b"], [])
     ball = build_ball(z2, 0, mem_cap=20)

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from hnnkit.cli import main
+from hnnkit.hnn import normal_form
+from hnnkit.specfile import load_spec_text
+from hnnkit.words import parse_word
 
 BROKEN = """
 base {
@@ -41,6 +44,33 @@ def test_normalize_g2(capsys):
     rc, out, _ = run(capsys, "normalize", "--preset", "g2", "s'bbbs")
     assert rc == 0
     assert out.splitlines()[0] == "aba"
+
+
+MULTI_CHARACTER = """
+base {
+  kind = abelian
+  generators = x1 y
+}
+stable t1 {
+  u = [[x1][x1]]
+  v = [yy]
+}
+"""
+
+
+def test_normalize_prints_a_word_that_parses_back(capsys, tmp_path):
+    """Multi-character stable names are printed in brackets, as words spell them."""
+    spec_path = tmp_path / "multi.hnn"
+    spec_path.write_text(MULTI_CHARACTER)
+    spec = load_spec_text(MULTI_CHARACTER)
+    printed = []
+    for text in ("[t1]'[x1][x1][t1]y[t1]", "[t1]'[x1]'y[t1]yy", "y[t1]'[x1]"):
+        rc, out, _ = run(capsys, "normalize", "--spec", str(spec_path), text)
+        assert rc == 0
+        printed.append(out.splitlines()[0])
+        assert (normal_form(spec, parse_word(spec.alphabet, printed[-1]))
+                == normal_form(spec, parse_word(spec.alphabet, text)))
+    assert printed[0] == "yyy[t1]"
 
 
 def test_normalize_parse_error(capsys):

@@ -588,6 +588,12 @@ def test_ac_bound_of_base_groups_and_extensions(wise, g2, z2_ab):
     assert ac_bound(z2_ab, 2) == ("3k (fellow-traveler bound for the base metric)", 6)
 
 
+def test_ac_bound_rejects_a_negative_k(wise, z2_ab):
+    for group in (wise, z2_ab):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            ac_bound(group, -1)
+
+
 def test_parallel_signatures(wise, g2, g2_ball7):
     wball = build_ball(wise, 5)
     report = verify_parallel_signatures(wball, wise)

@@ -411,6 +411,55 @@ def test_fold_properties(wise, g2, data):
     assert spec.mult_key(x.key, y.key) == reference_fold(spec, ids + ids2)
 
 
+@pytest.mark.parametrize("name", ["wise", "g2"])
+def test_pinch_test_and_split_cross_the_same_subgroups(name):
+    """s_i^eps crosses U_i onto V_i if eps > 0, else V_i onto U_i.  Britton's
+    pinch test and the fold's split must both say so: a segment closed by a
+    stable letter pinches exactly when the split along that letter leaves the
+    identity as coset representative, and the pinch carries the segment to
+    the split's image."""
+    spec = preset(name)
+    base, nb = spec.base, spec.n_base_letters
+    rng = random.Random(25)
+    pinches = splits = 0
+    for lid in range(nb, spec.alphabet.n_letters):
+        i, eps = spec.stable_of_letter(lid)
+        pair = spec.pairs[i]
+        assert spec._sides[lid] == ((pair.u, pair.v) if eps > 0 else (pair.v, pair.u))
+        for n in range(300):
+            if n % 2:  # a word of U_i or of V_i
+                sub = rng.choice((pair.u, pair.v))
+                sw = tuple((rng.randrange(len(sub.generator_words)), rng.choice((1, -1)))
+                           for _ in range(rng.randint(1, 4)))
+                seg = sub.expand(sw).ids
+            else:
+                seg = tuple(rng.randrange(nb) for _ in range(rng.randint(0, 8)))
+            r, img = spec._split(base.evaluate(Word(base.alphabet, seg)), lid)
+            found = hnn._pinch_rewrite(spec, lid ^ 1, seg)
+            assert (found is not None) == base.is_identity(r)
+            if found is None:
+                splits += 1
+                continue
+            pinches += 1
+            rewrite, target = found
+            assert base.evaluate(target.expand(rewrite)) == img
+    assert pinches >= 200 and splits >= 200
+
+
+@pytest.mark.parametrize("name", ["wise", "g2", "z2_abcd", "z2_ab", "f2"])
+def test_apply_letter_left_is_the_letter_times_the_key(name):
+    """apply_letter_left is derived from apply_letter and mult_key on every oracle."""
+    group = preset(name)
+    rng = random.Random(26)
+    alphabet = group.alphabet
+    for _ in range(40):
+        w = Word(alphabet, tuple(rng.randrange(alphabet.n_letters) for _ in range(rng.randint(0, 12))))
+        key = group.evaluate(w)
+        for lid in range(alphabet.n_letters):
+            want = group.evaluate(Word(alphabet, (lid,) + group.word_of_key(key).ids))
+            assert group.apply_letter_left(lid, key) == want
+
+
 def test_every_stable_letter_a_fold_meets_goes_through_the_hook():
     """The one place a stable letter meets a fold state, as a tracer wraps it."""
     spec = preset("g2")

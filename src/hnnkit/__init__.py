@@ -62,7 +62,7 @@ from .convexity import (
     verify_parallel_signatures,
 )
 from .presets import PRESET_NAMES, preset
-from .specfile import load_spec_text, parse_spec_text, serialize_ast, ast_of
+from .specfile import load_spec_text, parse_spec_text
 
 __all__ = [
     "Alphabet", "Generator", "Letter", "Word", "enumerate_words", "format_word",
@@ -79,5 +79,4 @@ __all__ = [
     "AcReport", "FftpReport", "ac_bound", "ac_profile", "fellow_distance",
     "fftp_search", "verify_parallel_signatures",
     "PRESET_NAMES", "preset", "load_spec_text", "parse_spec_text",
-    "serialize_ast", "ast_of",
 ]

@@ -18,7 +18,7 @@ from . import __version__
 from .cayley import BallCapError, OutOfBallError, build_ball, export_ball, locate
 from .convexity import (ac_bound, ac_profile, check_fftp_arguments, fftp_radius,
                          fftp_search, verify_parallel_signatures)
-from .hnn import HnnSpec, normal_form, stable_letter_signature, verify_isometric
+from .hnn import HnnSpec, normal_form, verify_isometric
 from .presets import UnknownPresetError, preset
 from .specfile import SpecFileError, load_spec_text
 from .words import WordParseError, format_word, parse_word
@@ -67,8 +67,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_group_args(p)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--k-cap", type=int, default=6)
-    p.add_argument("--mode", default="exhaustive",
-                   help="exhaustive or sampled:COUNT:SEED")
     p.add_argument("--include-unreduced", action="store_true",
                    help="also test words that are not freely reduced")
     p.add_argument("--format", default="table", choices=["json", "table"])
@@ -134,17 +132,16 @@ def cmd_normalize(args) -> int:
     if isinstance(group, HnnSpec):
         nf = normal_form(group, word)
         base_ball = build_ball(group.base, 0)
+        stable = [group.alphabet.letter_str(group.stable_letter_id(*m)) for m in nf.stable_markers]
         parts = []
         for pos, part in enumerate(nf.key):
             if pos % 2 == 0:
                 if not group.base.is_identity(part):
                     parts.append(_geodesic_base_word(base_ball, part))
             else:
-                parts.append(group.alphabet.letter_str(group.stable_letter_id(*part)))
-        sig = " ".join(
-            name + ("" if eps > 0 else "'") for name, eps in stable_letter_signature(nf)
-        )
-        body = "".join(parts) + "\n" + f"signature: {sig}\n" + f"key: {group.key_str(nf.key)}\n"
+                parts.append(stable[pos // 2])
+        body = ("".join(parts) + "\n" + f"signature: {' '.join(stable)}\n"
+                + f"key: {group.key_str(nf.key)}\n")
     else:
         key = group.evaluate(word)
         body = format_word(group.word_of_key(key)) + "\n" + f"key: {group.key_str(key)}\n"
@@ -198,32 +195,15 @@ def cmd_ac(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_mode(text: str):
-    if text == "exhaustive":
-        return "exhaustive", 0, None
-    if text.startswith("sampled:"):
-        try:
-            _, count, seed = text.split(":")
-            return "sampled", int(count), int(seed)
-        except ValueError:
-            raise ValueError("sampled mode is sampled:COUNT:SEED "
-                             "with integer COUNT and SEED") from None
-    raise ValueError(f"unknown mode {text!r}")
-
-
 def cmd_fftp(args) -> int:
     group, label = _load_group(args)
-    mode, count, seed = _parse_mode(args.mode)
-    check_fftp_arguments(args.max_len, args.k_cap, mode, count)
+    check_fftp_arguments(args.max_len, args.k_cap)
     ball = build_ball(group, fftp_radius(args.max_len, args.k_cap), mem_cap=args.mem_cap,
                       progress=_progress("ball"))
     report = fftp_search(
         ball,
         max_len=args.max_len,
         k_cap=args.k_cap,
-        mode=mode,
-        sample_count=count,
-        seed=seed,
         include_unreduced=args.include_unreduced,
     )
     header = _header(
@@ -232,7 +212,7 @@ def cmd_fftp(args) -> int:
         {
             "max_len": args.max_len,
             "k_cap": args.k_cap,
-            "mode": args.mode,
+            "mode": "exhaustive",  # the only search; kept so reports keep their bytes
             "include_unreduced": args.include_unreduced,
         },
     )

@@ -40,11 +40,9 @@ new state) is evidence of that at the lengths run, not a proof of FFTP.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import sub
-from typing import Optional
 
 from .cayley import BallIndex, OutOfBallError, build_ball
 from .hnn import MAX_WITNESSES, HnnSpec
@@ -255,7 +253,6 @@ class FftpReport:
     k_min: int
     max_len: int
     k_cap: int
-    mode: str
     total_words: int
     geodesic_words: int
     histogram: dict  # per-word minimum -> count of non-geodesic words
@@ -263,7 +260,6 @@ class FftpReport:
     falsifiers: dict  # k' -> word with per-word minimum > k'
     unresolved: list  # words with no companion within k_cap
     include_unreduced: bool = False
-    seed: Optional[int] = None
 
     @property
     def non_geodesic_words(self) -> int:
@@ -278,8 +274,9 @@ class FftpReport:
             "k_min": self.k_min,
             "max_len": self.max_len,
             "k_cap": self.k_cap,
-            "mode": self.mode,
-            "seed": self.seed,
+            # the search is exhaustive only; both keys stay so reports keep their bytes
+            "mode": "exhaustive",
+            "seed": None,
             "include_unreduced": self.include_unreduced,
             "total_words": self.total_words,
             "geodesic_words": self.geodesic_words,
@@ -296,7 +293,7 @@ class FftpReport:
             + ("" if self.include_unreduced else " (freely reduced)")
             + f": {self.total_words}, geodesic {self.geodesic_words}, "
             f"non-geodesic {self.non_geodesic_words}",
-            f"mode {self.mode}" + (f" seed {self.seed}" if self.seed is not None else ""),
+            "mode exhaustive",  # kept so table reports keep their bytes
             f"kMin = {self.k_min} (cap {self.k_cap}; "
             + ("verified" if self.verified else f"{len(self.unresolved)} UNRESOLVED")
             + ")",
@@ -322,15 +319,11 @@ def fftp_radius(max_len: int, k_cap: int) -> int:
     return max(max_len, k_cap + 2)
 
 
-def check_fftp_arguments(max_len: int, k_cap: int, mode: str, sample_count: int) -> None:
+def check_fftp_arguments(max_len: int, k_cap: int) -> None:
     """Raise ValueError for arguments fftp_search rejects, before any ball is built."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    for name, value in (("max_len", max_len), ("k_cap", k_cap), ("sample_count", sample_count)):
+    for name, value in (("max_len", max_len), ("k_cap", k_cap)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if mode == "sampled" and max_len < 1:
-        raise ValueError("sampled mode needs max_len >= 1")
 
 
 class _FftpContext:
@@ -547,23 +540,6 @@ def _score_word(ctx: _FftpContext, partial: dict, ids: tuple[int, ...], state, e
         _tally(partial, m, 1, ids)
 
 
-def _score_words(ctx: _FftpContext, words) -> dict:
-    """The tallies of the given words, each scored on its own at the least cap that resolves it."""
-    partial = _new_partial()
-    for ids in words:
-        end = 0
-        for x in ids:
-            end = ctx.rel_trans[end][x]
-        state = ctx.start
-        if ctx.rel_dist[end] < len(ids):  # geodesic words resolve at no cap
-            for cap in range(ctx.k_cap + 1):
-                state = ctx.states(ids, cap)[-1]
-                if ctx.word_min(state, ids[-1]) <= cap:
-                    break
-        _score_word(ctx, partial, ids, state, end)
-    return partial
-
-
 def _merge_partials(parts: list[dict]) -> dict:
     total = _new_partial()
     for p in parts:
@@ -576,36 +552,23 @@ def _merge_partials(parts: list[dict]) -> dict:
     return total
 
 
-def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhaustive",
-                sample_count: int = 0, seed: Optional[int] = None,
-                include_unreduced: bool = False, jobs: int = 1) -> FftpReport:
+def fftp_search(ball: BallIndex, max_len: int, k_cap: int, include_unreduced: bool = False,
+                jobs: int = 1) -> FftpReport:
     """Find the smallest k that fellow-travel-falsifies every tested word.
 
-    For each (or each sampled) non-geodesic word w of length <= max_len,
-    compute the minimum over shorter words v with the same endpoint of the
-    synchronous fellow-traveling distance between w and v.  kMin is the
-    maximum of these minima; words with no companion within k_cap are
-    reported as unresolved, never dropped.
+    For each non-geodesic word w of length <= max_len, compute the minimum
+    over shorter words v with the same endpoint of the synchronous
+    fellow-traveling distance between w and v.  kMin is the maximum of
+    these minima; words with no companion within k_cap are reported as
+    unresolved, never dropped.
 
-    Runs in the calling process; ``jobs`` is unused and goes with the next benchmark change.
+    Runs in the calling process.  ``jobs`` is unused; the benchmark still
+    passes it, so it goes with the next change to the benchmark.
     """
-    check_fftp_arguments(max_len, k_cap, mode, sample_count)
+    check_fftp_arguments(max_len, k_cap)
     ctx = _FftpContext(ball, max_len, k_cap, not include_unreduced)
-    if mode == "exhaustive":
-        firsts = range(ctx.n_letters) if max_len > 0 else ()
-        merged = _merge_partials([_first_letter_tallies(ctx, first) for first in firsts])
-    else:
-        rng = random.Random(seed)
-        words = []
-        for _ in range(sample_count):
-            ids: list[int] = []
-            for _ in range(rng.randint(1, max_len)):
-                lid = rng.randrange(ctx.n_letters)
-                while not include_unreduced and ids and lid == ids[-1] ^ 1:
-                    lid = rng.randrange(ctx.n_letters)
-                ids.append(lid)
-            words.append(tuple(ids))
-        merged = _merge_partials([_score_words(ctx, words)])
+    firsts = range(ctx.n_letters) if max_len > 0 else ()
+    merged = _merge_partials([_first_letter_tallies(ctx, first) for first in firsts])
 
     alphabet = ball.oracle.alphabet
     k_min = max(merged["hist"], default=0)
@@ -631,10 +594,9 @@ def fftp_search(ball: BallIndex, max_len: int, k_cap: int, mode: str = "exhausti
         falsifiers[k] = format_word(Word(alphabet, best))
     unresolved = [format_word(Word(alphabet, ids)) for ids in merged["unresolved"]]
     return FftpReport(
-        k_min=k_min, max_len=max_len, k_cap=k_cap, mode=mode, total_words=merged["total"],
+        k_min=k_min, max_len=max_len, k_cap=k_cap, total_words=merged["total"],
         geodesic_words=merged["geodesic"], histogram=merged["hist"], witnesses=witnesses,
         falsifiers=falsifiers, unresolved=unresolved, include_unreduced=include_unreduced,
-        seed=seed if mode == "sampled" else None,
     )
 
 

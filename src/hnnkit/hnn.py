@@ -296,9 +296,7 @@ class HnnSpec(BaseGroupOracle):
             if pos % 2 == 0:
                 parts.append(self.base.key_str(part))
             else:
-                i, eps = part
-                name = self.alphabet.stable_generators[i].name
-                parts.append(name if eps > 0 else name + "'")
+                parts.append(self.alphabet.letter_str(self._stable_letters[part]))
         return "|".join(parts)
 
     def word_of_key(self, key) -> Word:

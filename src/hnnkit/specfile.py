@@ -1,4 +1,4 @@
-"""Parser and serializer for the group description files.
+"""Parser for the group description files.
 
 The format is line oriented with two block kinds::
 
@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .base_groups import AbelianOracle, BaseGroupOracle, FreeOracle
 from .hnn import AssociatedPair, HnnSpec
 from .subgroups import cyclic_subgroup, stallings_subgroup
-from .words import Alphabet, Word, WordParseError, format_word, invert, parse_word
+from .words import Alphabet, Word, WordParseError, invert, parse_word
 
 
 class SpecFileError(ValueError):
@@ -124,45 +124,6 @@ def _word_list(body: str, line_no: int) -> list[str]:
     if not inner:
         return []
     return [part.strip() for part in inner.split(",")]
-
-
-def serialize_ast(ast: SpecAst) -> str:
-    lines = ["base {", f"  kind = {ast.kind}", f"  generators = {' '.join(ast.generators)}"]
-    for lhs, rhs in ast.relators:
-        lines.append(f"  relator {lhs} = {rhs}" if rhs is not None else f"  relator {lhs}")
-    lines.append("}")
-    for st in ast.stables:
-        lines.append(f"stable {st.name} {{")
-        lines.append(f"  u = [{', '.join(st.u_words)}]")
-        lines.append(f"  v = [{', '.join(st.v_words)}]")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def ast_of(obj: Union[HnnSpec, BaseGroupOracle]) -> SpecAst:
-    """Reconstruct the declarative description of a built object."""
-    ast = SpecAst()
-    if isinstance(obj, HnnSpec):
-        base = obj.base
-        for pair, gen in zip(obj.pairs, obj.alphabet.stable_generators):
-            ast.stables.append(
-                StableBlock(
-                    gen.name,
-                    [format_word(w) for w in pair.u.generator_words],
-                    [format_word(w) for w in pair.v.generator_words],
-                )
-            )
-    else:
-        base = obj
-    ast.generators = [g.name for g in base.alphabet.generators]
-    if isinstance(base, AbelianOracle):
-        ast.kind = "abelian"
-        ast.relators = [(format_word(r), None) for r in base.relators]
-    elif isinstance(base, FreeOracle):
-        ast.kind = "free"
-    else:
-        raise TypeError(f"cannot serialize base oracle of type {type(base).__name__}")
-    return ast
 
 
 # A generator or stable name must be spellable in a word, bare or in brackets.

@@ -79,9 +79,6 @@ class Alphabet:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}; have {sorted(self._by_name)}") from None
 
-    def letter_id(self, name: str, sign: int = 1) -> int:
-        return 2 * self.generator(name).index + (0 if sign > 0 else 1)
-
     def letter_of_id(self, lid: int) -> Letter:
         return Letter(self.generators[lid >> 1], 1 if lid % 2 == 0 else -1)
 

@@ -73,6 +73,14 @@ def test_normalize_prints_a_word_that_parses_back(capsys, tmp_path):
     assert printed[0] == "yyy[t1]"
 
 
+def test_normalize_brackets_stable_names_on_every_line(capsys, tmp_path):
+    spec_path = tmp_path / "multi.hnn"
+    spec_path.write_text(MULTI_CHARACTER.replace("[[x1][x1]]", "[[x1]]").replace("[yy]", "[y]"))
+    rc, out, _ = run(capsys, "normalize", "--spec", str(spec_path), "[t1]'[x1][t1][t1]'y[t1]")
+    assert rc == 0
+    assert out.splitlines()[1:] == ["signature: [t1]' [t1]", "key: 0,0|[t1]'|0,1|[t1]|0,1"]
+
+
 def test_normalize_parse_error(capsys):
     rc, _, err = run(capsys, "normalize", "--preset", "wise", "zzz")
     assert rc == 2
@@ -137,25 +145,12 @@ def test_fftp_exit_codes(capsys):
     assert rc == 1
 
 
-def test_fftp_sampled_mode(capsys):
-    rc, out, _ = run(capsys, "fftp", "--preset", "z2_ab", "--max-len", "4",
-                     "--k-cap", "6", "--mode", "sampled:100:7", "--format", "json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["report"]["mode"] == "sampled"
-    assert doc["report"]["seed"] == 7
-    assert doc["report"]["total_words"] == 100
-
-
 def test_fftp_rejects_bad_arguments(capsys):
     for args, message in (
-        (("--max-len", "0", "--mode", "sampled:3:1"), "sampled mode needs max_len >= 1"),
         (("--max-len", "3", "--k-cap", "-1"), "k_cap must be >= 0"),
         (("--max-len", "-2"), "max_len must be >= 0"),
         # checked before the ball is built, so the cap is never reached
         (("--max-len", "-2", "--k-cap", "40", "--mem-cap", "1000"), "max_len must be >= 0"),
-        (("--max-len", "2", "--mode", "sampled:x:1"),
-         "sampled mode is sampled:COUNT:SEED with integer COUNT and SEED"),
     ):
         rc, out, err = run(capsys, "fftp", "--preset", "z2_ab", *args)
         assert rc == 2
@@ -187,13 +182,16 @@ def test_ac_rejects_negative_fftp_k(capsys):
     ["signatures", "--preset", "wise", "-N", "2"],
     ["normalize", "--preset", "z2_ab", "ab"],
     ["fftp", "--preset", "z2_ab", "--max-len", "2"],
+    ["fftp", "--preset", "z2_ab", "--max-len", "3", "--mode", "sampled:100:7"],
 ])
 def test_no_command_takes_jobs(argv, capsys):
-    # every command runs in one process
+    # every command runs in one process, and fftp searches every word: it has no --mode
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--jobs", "2"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    unknown = argv[argv.index("--mode"):] if "--mode" in argv else []
+    assert ("unrecognized arguments: " + " ".join(unknown + ["--jobs", "2"])
+            in capsys.readouterr().err)
 
 
 def test_verify_isometric_pass_and_fail(capsys, tmp_path):

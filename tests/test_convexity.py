@@ -210,15 +210,6 @@ def test_fftp_layer_memo_matches_full_chain(name, k_cap, unreduced, request):
                 assert len(ctx.companion(ids, cap)[1]) == want_at
 
 
-def test_fftp_sampled_determinism(z2_abcd, z2_abcd_ball9):
-    s1 = fftp_search(z2_abcd_ball9, max_len=5, k_cap=6, mode="sampled",
-                     sample_count=200, seed=99)
-    s2 = fftp_search(z2_abcd_ball9, max_len=5, k_cap=6, mode="sampled",
-                     sample_count=200, seed=99)
-    assert s1.to_dict() == s2.to_dict()
-    assert s1.seed == 99
-
-
 @pytest.mark.parametrize("name,max_len,k_cap,unreduced", [
     ("z2_abcd", 6, 6, False), ("z2_ab", 6, 6, False), ("f2", 6, 6, True),
     ("z2_abcd", 3, 0, False),
@@ -258,31 +249,15 @@ G2_FFTP_4_4_UNREDUCED = {
 }
 
 
-Z2_ABCD_SAMPLED_5_6 = {
-    "k_min": 2, "max_len": 5, "k_cap": 6, "mode": "sampled", "seed": 99,
-    "include_unreduced": False, "total_words": 200, "geodesic_words": 87,
-    "non_geodesic_words": 113, "histogram": {"1": 111, "2": 2},
-    "witnesses": [
-        {"word": "ab", "companion": "c", "fellow_distance": 1},
-        {"word": "bd'b'", "companion": "d'", "fellow_distance": 2},
-    ],
-    "falsifiers": {"1": "bd'b'"}, "unresolved": [],
-}
-
-
 @pytest.mark.parametrize("name,unreduced,expected", [
     ("wise", False, WISE_FFTP_4_4), ("g2", True, G2_FFTP_4_4_UNREDUCED),
-    ("z2_abcd", False, Z2_ABCD_SAMPLED_5_6),
 ])
 def test_fftp_on_hnn_extensions(name, unreduced, expected, request):
     # whole reports pinned from earlier versions; the run's settings are read
     # from the pinned report itself
     group = request.getfixturevalue(name)
-    sampled = expected["mode"] == "sampled"
     report = fftp_search(build_ball(group, 0), max_len=expected["max_len"],
-                         k_cap=expected["k_cap"], mode=expected["mode"],
-                         sample_count=expected["total_words"] if sampled else 0,
-                         seed=expected["seed"], include_unreduced=unreduced)
+                         k_cap=expected["k_cap"], include_unreduced=unreduced)
     assert report.to_dict() == expected
 
 
@@ -352,6 +327,23 @@ def test_fftp_length_20(name, expected, request):
     assert report.to_dict() == expected
 
 
+def _score_words(ctx: _FftpContext, words) -> dict:
+    """The tallies of the given words, each scored on its own at the least cap that resolves it."""
+    partial = cx._new_partial()
+    for ids in words:
+        end = 0
+        for x in ids:
+            end = ctx.rel_trans[end][x]
+        state = ctx.start
+        if ctx.rel_dist[end] < len(ids):  # geodesic words resolve at no cap
+            for cap in range(ctx.k_cap + 1):
+                state = ctx.states(ids, cap)[-1]
+                if ctx.word_min(state, ids[-1]) <= cap:
+                    break
+        cx._score_word(ctx, partial, ids, state, end)
+    return partial
+
+
 @pytest.mark.parametrize("name,max_len,k_cap,reduced", [
     pytest.param("z2_ab", 8, 6, True, id="z2_ab-8"),
     pytest.param("z2_abcd", 6, 6, True, id="z2_abcd-6"),
@@ -367,13 +359,13 @@ def test_fftp_count_matches_per_word_scores(name, max_len, k_cap, reduced, reque
     letters = range(ctx.n_letters)
     counted = cx._merge_partials([cx._first_letter_tallies(ctx, first) for first in letters])
     words = [w.ids for w in enumerate_words(group.alphabet, max_len, reduced)][1:]
-    scored = cx._merge_partials([cx._score_words(ctx, words)])
+    scored = cx._merge_partials([_score_words(ctx, words)])
     assert counted == scored
     assert scored["total"] == len(words) and scored["hist"]
     assert bool(scored["unresolved"]) == (k_cap < 6)
     # shortlex order: the witness of a minimum is the first word scored with it
     for m, w in scored["witness"].items():
-        assert w == next(ids for ids in words if cx._score_words(ctx, [ids])["hist"] == {m: 1})
+        assert w == next(ids for ids in words if _score_words(ctx, [ids])["hist"] == {m: 1})
 
 
 def test_fftp_k_cap_unresolved_reporting(z2_abcd, z2_abcd_ball9):

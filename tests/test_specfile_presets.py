@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 from hnnkit.base_groups import AbelianOracle, FreeOracle
 from hnnkit.hnn import HnnSpec, verify_isometric
 from hnnkit.presets import PRESET_NAMES, UnknownPresetError, preset, preset_text
-from hnnkit.specfile import (
-    SpecFileError,
-    ast_of,
-    build_from_ast,
-    load_spec_text,
-    parse_spec_text,
-    serialize_ast,
-)
+from hnnkit.specfile import SpecFileError, build_from_ast, load_spec_text, parse_spec_text
 
 
 def test_preset_kinds():
@@ -48,21 +41,6 @@ def test_g2_structure():
 def test_presets_verify_isometric():
     assert verify_isometric(preset("wise"), 6).passed
     assert verify_isometric(preset("g2"), 6).passed
-
-
-def test_preset_roundtrip_through_parser():
-    for name in PRESET_NAMES:
-        ast1 = parse_spec_text(preset_text(name))
-        obj = build_from_ast(ast1)
-        ast2 = parse_spec_text(serialize_ast(ast_of(obj)))
-        assert ast2.kind == ast1.kind
-        assert ast2.generators == ast1.generators
-        assert [s.name for s in ast2.stables] == [s.name for s in ast1.stables]
-        assert [s.u_words for s in ast2.stables] == [s.u_words for s in ast1.stables]
-        assert [s.v_words for s in ast2.stables] == [s.v_words for s in ast1.stables]
-        # relators survive as single words equal to lhs * rhs^-1
-        obj2 = build_from_ast(ast2)
-        assert type(obj2) is type(obj)
 
 
 def test_parse_errors():

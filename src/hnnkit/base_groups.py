@@ -423,4 +423,4 @@ def base_geodesic_length(oracle: BaseGroupOracle, w: Word,
         return exact
     if ball is None:
         raise ValueError("this oracle needs a ball for geodesic lengths")
-    return ball.dist[locate(ball, key)]
+    return ball.distance_of(locate(ball, key))

@@ -1,12 +1,11 @@
 """Breadth-first Cayley balls over any element oracle.
 
 A BallIndex holds, for every element within the requested radius: its
-code, its distance from the identity, the full transition row (element *
-letter for every signed letter, as a tuple of ids; only for elements
-strictly inside the radius, which are the ones the BFS expanded), and every
-predecessor link (p, letter) with p * letter = element and |p| = |element|
-- 1.  Storing all predecessor links makes geodesic enumeration a walk, not
-a search.
+code, its transition row (element * letter for every signed letter, as
+ids; only for elements strictly inside the radius, which are the ones the
+BFS expanded), and every predecessor link (p, letter) with p * letter =
+element and |p| = |element| - 1.  Storing all predecessor links makes
+geodesic enumeration a walk, not a search.
 
 Codes come from a key table the ball gets from its oracle and owns
 (oracle.key_table()).  A base oracle's table is trivial: codes are its
@@ -16,18 +15,20 @@ fold.  Canonical keys go in and out through the table: id_of, `in` and
 locate encode a key, and BallIndex.key(eid) decodes one; a key with a part
 the table never interned is not in the ball.
 
-The layout keeps the garbage collector's work small: distances are one
-array("i"), rows are tuples of ints, and the links are compressed sparse
-rows, the links of eid being (link_src[k], link_letter[k]) for k in
+The layout is flat, so an element costs no Python object of its own.
+Codes are one container from the key table (an array("q") of HnnKeyTable
+codes, a list of base keys), rows one array("i") of n_letters ids per
+expanded element (BallIndex.row), and the links compressed sparse rows,
+those of eid being (link_src[k], link_letter[k]) for k in
 range(link_start[eid], link_start[eid + 1]), in (source, letter) order.
-The BFS loop only assigns ids and rows.  Once a sphere is complete, its
-codes are appended from the dict that assigned their ids (see below; a dict
-keeps insertion order, which is id order), so a sphere cut short by the cap
-leaves no codes to take back.  Its links are then built from the finished
-rows of the sphere before by one stable counting sort on the target, whose
-cursors are the new tail of link_start itself.  Readers scan the links
-inline.  The arrays grow by the sphere a block at a time, so the build
-makes no temporary the size of a sphere beyond the sort's counts.
+No distance is stored: it is the sphere whose id range holds the element
+(BallIndex.distance_of).  The BFS loop only assigns ids and appends rows.
+Once a sphere is complete, its codes are appended from the dict that
+assigned their ids (see below; a dict keeps insertion order, which is id
+order), so a sphere cut short leaves only rows to truncate.  Its links are
+then built from the rows of the sphere before by one stable counting sort
+on the target, whose cursors are the new tail of link_start itself.  The
+build makes no temporary the size of a sphere beyond the sort's counts.
 
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
@@ -39,8 +40,9 @@ on by one (S(d - 1) out, the second dict in).  On the last sphere the first
 dict is dropped before the codes are appended and the second before the
 links are built.  So the ball keeps no code -> id map while it grows.
 Lookups by key (id_of, `in`, locate, and the boundary rows of ball_edges)
-read one index over all codes, built on the first lookup and kept current
-by every later extension; a ball never queried by key never holds one.
+read one index over all codes, built on the first lookup (one int object
+per code, as well as the dict) and kept current by every later extension;
+a ball never queried by key never holds one.
 
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
@@ -73,7 +75,8 @@ import io
 import json
 import os
 from array import array
-from itertools import accumulate, islice, repeat
+from bisect import bisect_right
+from itertools import accumulate, islice
 from typing import Iterator, Optional
 
 from .words import Word, format_word
@@ -81,7 +84,7 @@ from .words import Word, format_word
 
 MEM_CAP_ENV = "HNNKIT_MEM_CAP"
 DEFAULT_MEM_CAP = 20_000_000  # elements held by a ball index or cache
-_BLOCK = 1 << 14  # items per step when an array grows by a sphere or its links
+_BLOCK = 1 << 14  # items per step when a link array grows
 
 
 def default_mem_cap() -> int:
@@ -130,14 +133,19 @@ class OracleKeys:
     def encode(self, key):
         return key
 
+    def new_codes(self) -> list:
+        """A ball's code container, holding the identity: a list of keys."""
+        return [self.identity]
+
 
 class BallIndex:
     """The radius-0 ball: just the identity.  Grow it with extend_ball.
 
-    codes[eid] is the element's code in the ball's key table.  The inverse
-    map, code -> id, is built by the first lookup by key, not by the BFS.
-    trans[eid] is the row of an expanded element, else None.
-    The predecessor links of eid are (link_src[k], link_letter[k]) for k in
+    codes[eid] is the element's code.  The inverse map, code -> id, is built
+    by the first lookup by key, not by the BFS.  rows holds the rows of the
+    expanded elements and row(eid) reads one; distance_of(eid) is read off
+    the sphere ranges (there is no trans and no dist).  The predecessor
+    links of eid are (link_src[k], link_letter[k]) for k in
     range(link_start[eid], link_start[eid + 1]), in (source, letter) order;
     the first is the last step of the element's shortlex least geodesic.
     """
@@ -149,15 +157,15 @@ class BallIndex:
         self.mem_cap = default_mem_cap() if mem_cap is None else mem_cap
         if self.mem_cap < 1:
             raise ValueError("mem_cap must be >= 1")
-        ident = self.table.identity
-        self.codes: list = [ident]
+        self.codes = self.table.new_codes()
         self._index: Optional[dict] = None  # code -> id, once a lookup needs it
-        self.dist = array("i", [0])
-        self.trans: list[Optional[tuple[int, ...]]] = [None]
+        self.n_letters = oracle.alphabet.n_letters
+        self.rows = array("i")
         self.link_start = array("i", [0, 0])
         self.link_src = array("i")
         self.link_letter = array("i")
         self.sphere_sizes: list[int] = [1]
+        self._starts = [0]  # the first id of each sphere
         self._counts: Optional[list[int]] = None
 
     def __len__(self) -> int:
@@ -186,15 +194,25 @@ class BallIndex:
         """The canonical key of an element."""
         return self.table.key(self.codes[eid])
 
+    def row(self, eid: int) -> array:
+        """The ids of eid * letter for every letter; empty on the outer sphere."""
+        n = self.n_letters
+        return self.rows[eid * n:eid * n + n]
+
+    def distance_of(self, eid: int) -> int:
+        """The element's distance from the identity: the sphere whose id range holds it."""
+        if not 0 <= eid < len(self.codes):
+            raise IndexError(f"element id {eid} is not in the ball")
+        return bisect_right(self._starts, eid) - 1
+
     def distance_of_key(self, key) -> int:
-        return self.dist[self.id_of(key)]
+        return self.distance_of(self.id_of(key))
 
     def sphere(self, n: int) -> range:
         """Ids of the elements at distance n, for 0 <= n <= radius."""
         if not 0 <= n <= self.radius:
             raise OutOfBallError(n, self.radius)
-        start = sum(self.sphere_sizes[:n])
-        return range(start, start + self.sphere_sizes[n])
+        return range(self._starts[n], self._starts[n] + self.sphere_sizes[n])
 
     # -- geodesic machinery -------------------------------------------------
 
@@ -236,8 +254,8 @@ def build_ball(oracle, radius: int, mem_cap: Optional[int] = None,
 def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     """Grow the ball to the given radius, resuming the BFS from its last sphere.
 
-    On BallCapError the partial sphere is dropped, so the ball stays the
-    complete ball of the radius it had reached.
+    On BallCapError or any other error in a sphere, the partial sphere is
+    dropped, so the ball stays the complete ball of the radius it reached.
     """
     if radius <= ball.radius:
         return
@@ -245,8 +263,7 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     row_of = ball.table.row
     mem_cap = ball.mem_cap
     codes = ball.codes
-    dist = ball.dist
-    trans = ball.trans
+    add_row = ball.rows.fromlist  # a list's append is faster than an array's
     # S(d - 1) and S(d), then S(d + 1) as it is found: see the module docstring
     lo = len(codes) - sum(ball.sphere_sizes[-2:])
     prev = dict(zip(codes[lo:], range(lo, len(codes))))
@@ -269,14 +286,13 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
                                 raise BallCapError(mem_cap, d)
                             n_codes += 1
                     row.append(tid)
-                trans[eid] = tuple(row)
-        except BallCapError:
-            for eid in frontier:
-                trans[eid] = None
+                add_row(row)
+        except BaseException:  # the cap's error or any other: drop the partial rows
+            del ball.rows[frontier.start * ball.n_letters:]
             raise
         if d + 1 < radius:
-            # on to S(d) and S(d + 1), keeping the id ints that rows share
-            for code in islice(codes, lo, frontier.start):
+            # on to S(d) and S(d + 1)
+            for code in codes[lo:frontier.start]:
                 del prev[code]
             prev.update(nxt)
             lo = frontier.start
@@ -288,9 +304,8 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
             ball._index.update(nxt)
         nxt = nxt_setdefault = None
         n_new = len(codes) - n_before
-        _grow(dist, d + 1, n_new)
-        trans.extend(repeat(None, n_new))
         _append_links(ball, frontier, n_before)
+        ball._starts.append(n_before)
         ball.sphere_sizes.append(n_new)
         ball.radius = d + 1
         if progress is not None:
@@ -298,6 +313,7 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
         if not n_new:
             break
     while len(ball.sphere_sizes) < radius + 1:
+        ball._starts.append(len(codes))
         ball.sphere_sizes.append(0)
     ball.radius = radius
 
@@ -314,35 +330,34 @@ def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
     n_new = len(ball.codes) - base
     if not n_new:
         return
-    trans = ball.trans
-    counts = array("i", [0]) * n_new
-    for row in islice(trans, frontier.start, frontier.stop):
-        for t in row:
+    n = ball.n_letters
+    with memoryview(ball.rows)[frontier.start * n:frontier.stop * n] as rows:
+        counts = array("i", [0]) * n_new
+        for t in rows:
             if t >= base:
                 counts[t - base] += 1
-    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
-    start.extend(islice(accumulate(counts, initial=start[-1]), n_new))
-    n_links = sum(counts)
-    counts = None  # before the link arrays grow: the build's last peak
-    _grow(src, 0, n_links)
-    _grow(letter, 0, n_links)
-    for eid, row in zip(frontier, islice(trans, frontier.start, frontier.stop)):
-        for lid, t in enumerate(row):
-            if t >= base:
-                t += 1
-                k = start[t]
-                start[t] = k + 1
-                src[k] = eid
-                letter[k] = lid
+        start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+        start.extend(islice(accumulate(counts, initial=start[-1]), n_new))
+        n_links = sum(counts)
+        counts = None  # before the link arrays grow: the build's last peak
+        _grow(src, n_links)
+        _grow(letter, n_links)
+        for eid, row in zip(frontier, zip(*[iter(rows)] * n)):  # n entries at a time
+            for lid, t in enumerate(row):
+                if t >= base:
+                    t += 1
+                    k = start[t]
+                    start[t] = k + 1
+                    src[k] = eid
+                    letter[k] = lid
 
 
-def _grow(arr: array, value: int, n: int) -> None:
-    """Append n copies of value, a block at a time.
+def _grow(arr: array, n: int) -> None:
+    """Append n zeros, a block at a time.
 
-    arr.extend(repeat(value, n)) converts every item on its own and is about
-    100 times slower; extending by one n-item array is a temporary of n items.
+    Extending by one n-item array would be a temporary of n items.
     """
-    block = array(arr.typecode, [value]) * min(n, _BLOCK)
+    block = array(arr.typecode, [0]) * min(n, _BLOCK)
     for _ in range(n // _BLOCK):
         arr.extend(block)
     arr.extend(block[:n % _BLOCK])
@@ -414,8 +429,8 @@ def export_ball(ball: BallIndex, fmt: str) -> bytes:
         return ("\n".join(out) + "\n").encode()
     key_str = ball.oracle.key_str
     fields = ("key", "distance", "geodesic", "count")
-    records = [(key_str(ball.key(eid)), ball.dist[eid], labels[eid], ball.geodesic_count(eid))
-               for eid in range(len(ball))]
+    records = [(key_str(ball.key(eid)), ball.distance_of(eid), labels[eid],
+                ball.geodesic_count(eid)) for eid in range(len(ball))]
     if fmt == "json":
         lines = [json.dumps(dict(zip(fields, rec)), sort_keys=True) for rec in records]
         return ("\n".join(lines) + "\n").encode()
@@ -433,9 +448,7 @@ def ball_edges(ball: BallIndex) -> Iterator[tuple[int, int, int]]:
     from the key table, filtered to in-ball targets.
     """
     for eid in range(len(ball)):
-        row = ball.trans[eid]
-        if row is None:
-            row = map(ball._ids().get, ball.table.row(ball.codes[eid]))
+        row = ball.row(eid) or map(ball._ids().get, ball.table.row(ball.codes[eid]))
         for lid, tid in enumerate(row):
             if tid is not None:
                 yield eid, lid, tid

@@ -135,7 +135,7 @@ def _inside_bfs(ball: BallIndex, n: int, start: int, goal: int) -> list[int]:
     if start == goal:
         return []
     hi = ball.sphere(n).stop  # BFS ids: x is in B(n) iff x < hi
-    trans = ball.trans
+    row = ball.row
     prev = ({start: (-1, -1)}, {goal: (-1, -1)})
     frontier = [[start], [goal]]
     while True:
@@ -143,7 +143,7 @@ def _inside_bfs(ball: BallIndex, n: int, start: int, goal: int) -> list[int]:
         mine, other = prev[side], prev[not side]
         nxt = []
         for v in frontier[side]:
-            for lid, t in enumerate(trans[v]):
+            for lid, t in enumerate(row(v)):
                 if t < hi and t not in mine:
                     mine[t] = (v, lid)
                     if t in other:
@@ -172,7 +172,7 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if ball.radius < n_max + 1:
         raise OutOfBallError(n_max + 1, ball.radius)
-    trans = ball.trans
+    rows, n_letters, row_of = ball.rows, ball.n_letters, ball.row
     start, src = ball.link_start, ball.link_src
     report = AcReport(n_max)
     for n in range(1, n_max + 1):
@@ -185,14 +185,14 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
             # h > g on S(n) -> path inside B(n): an edge, two letters through
             # a midpoint in B(n), else (all midpoints on S(n+1)) a BFS path
             paths: dict[int, tuple[int, ...]] = {}
-            row = trans[g]
+            row = row_of(g).tolist()  # read three times: its ints made once
             for lid, m in enumerate(row):
                 if g < m < hi:
                     paths.setdefault(m, (lid,))
             edges = len(paths)
             for l1, m in enumerate(row):
                 if m < hi:
-                    for l2, h in enumerate(trans[m]):
+                    for l2, h in enumerate(row_of(m)):
                         if g < h < hi:
                             paths.setdefault(h, (l1, l2))
             # far pairs come off the predecessor links of g's upper
@@ -208,8 +208,8 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
             for h, path in paths.items():
                 # re-check the witness path really stays inside B(n)
                 v = g
-                for lid in path:
-                    v = trans[v][lid]
+                for lid in path:  # g's row is at hand as a list
+                    v = row[lid] if v == g else rows[v * n_letters + lid]
                     if v >= hi:
                         raise AssertionError("witness path leaves the ball")
                 if v != h:
@@ -221,8 +221,9 @@ def ac_profile(ball: BallIndex, n_max: int) -> AcReport:
             g, h, path = best
             gamma = path  # a near pair's path is a shortest word between g and h
             if len(path) > 2:  # a far pair: two letters through the least common midpoint
-                m = min(m for m in trans[g] if m >= hi and m in trans[h])
-                gamma = (trans[g].index(m), trans[h].index(m) ^ 1)
+                row_g, row_h = row_of(g), row_of(h)
+                m = min(m for m in row_g if m >= hi and m in row_h)
+                gamma = (row_g.index(m), row_h.index(m) ^ 1)
             rec.witness_g, rec.witness_h = ball.label(g), ball.label(h)
             rec.witness_gamma = format_word(Word(ball.oracle.alphabet, gamma))
             rec.witness_path = format_word(Word(ball.oracle.alphabet, path))
@@ -342,8 +343,9 @@ class _FftpContext:
         if ball.radius < radius:
             ball = build_ball(ball.oracle, radius, mem_cap=ball.mem_cap)
         self.rel = ball
-        self.rel_trans = trans = ball.trans
-        self.rel_dist = ball.dist.tolist()  # a list indexes faster in extend_dp's loop
+        # rows as tuples and distances as a list: they index faster in extend_dp's loop
+        self.rel_trans = trans = [tuple(ball.row(e)) for e in range(len(ball.rows) // self.n_letters)]
+        self.rel_dist = [d for d, size in enumerate(ball.sphere_sizes) for _ in range(size)]
         # left translates l*g, read only for |g| <= k_cap + 1 (a state plus a
         # letter).  For a predecessor link (p, y) of g, l*g = (l*p)*y with
         # |l*p| <= |g| < radius, so the row exists and l*g is in the ball.

@@ -421,6 +421,10 @@ class HnnKeyTable:
         sid = segment_ids.get(key[-1])
         return None if sid is None else sid << _PREFIX_BITS | pid
 
+    def new_codes(self) -> array:
+        """A ball's code container, holding the identity: codes as 64-bit ints."""
+        return array("q", [self.identity])
+
 
 @dataclass(frozen=True)
 class NormalForm:

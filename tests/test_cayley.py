@@ -19,9 +19,10 @@ from hnnkit.cayley import (
     is_geodesic,
     locate,
 )
-from hnnkit.convexity import fftp_search
+from hnnkit.convexity import ac_profile, fftp_search
 from hnnkit.hnn import verify_isometric
 from hnnkit.presets import preset
+from hnnkit.specfile import load_spec_text
 from hnnkit.words import Word, enumerate_words, format_word, parse_word
 
 
@@ -62,21 +63,24 @@ def test_sphere_ranges(z2_abcd_ball9, g2_ball7):
         assert ids == list(range(len(ball)))
         for n in range(ball.radius + 1):
             assert len(ball.sphere(n)) == ball.sphere_sizes[n]
-            assert all(ball.dist[eid] == n for eid in ball.sphere(n))
+            assert all(ball.distance_of(eid) == n for eid in ball.sphere(n))
         with pytest.raises(OutOfBallError):
             ball.sphere(ball.radius + 1)
+        for eid in (-1, len(ball)):
+            with pytest.raises(IndexError):
+                ball.distance_of(eid)
 
 
 def test_predecessor_completeness(z2_abcd, z2_abcd_ball9):
     ball = z2_abcd_ball9
     for eid in range(len(ball)):
-        if ball.dist[eid] >= 3:
+        if ball.distance_of(eid) >= 3:
             continue
         expected = set()
         for lid in range(z2_abcd.alphabet.n_letters):
             k2 = z2_abcd.apply_letter(ball.key(eid), lid)
             tid = ball.id_of(k2)
-            if ball.dist[tid] == ball.dist[eid] - 1:
+            if ball.distance_of(tid) == ball.distance_of(eid) - 1:
                 expected.add((tid, lid ^ 1))
         assert set(links_of(ball, eid)) == expected
 
@@ -105,8 +109,7 @@ def test_distance_symmetry_random(z2_abcd, z2_abcd_ball9):
     import random
 
     rng = random.Random(15)
-    keys = [z2_abcd_ball9.key(eid) for eid in range(len(z2_abcd_ball9))]
-    inner = [k for k, d in zip(keys, z2_abcd_ball9.dist) if d <= 4]
+    inner = [z2_abcd_ball9.key(eid) for eid in range(z2_abcd_ball9.sphere(4).stop)]
     for _ in range(100):
         x, y = rng.choice(inner), rng.choice(inner)
         assert distance(z2_abcd_ball9, x, y) == distance(z2_abcd_ball9, y, x)
@@ -167,7 +170,7 @@ def test_ids_follow_shortlex_order_and_first_links_end_least_geodesics(name, rad
         if eid:
             p = 0
             for lid in ids[:-1]:
-                p = ball.trans[p][lid]
+                p = ball.row(p)[lid]
             assert links_of(ball, eid)[0] == (p, ids[-1])
 
 
@@ -193,7 +196,8 @@ def test_export_determinism(z2_abcd):
 
 
 def _ball_state(ball):
-    return (ball.radius, [ball.key(e) for e in range(len(ball))], list(ball.dist), ball.trans,
+    return (ball.radius, [ball.key(e) for e in range(len(ball))],
+            [ball.distance_of(e) for e in range(len(ball))], ball.rows.tolist(),
             [links_of(ball, e) for e in range(len(ball))],
             ball.sphere_sizes, [ball.label(e) for e in range(len(ball))],
             [ball.geodesic_count(e) for e in range(len(ball))])
@@ -312,7 +316,7 @@ def test_base_embeds_isometrically_in_extension(wise, z2_abcd):
     for eid in range(len(zball)):
         ext = (zball.key(eid),)
         assert ext in wball
-        assert wball.distance_of_key(ext) == zball.dist[eid]
+        assert wball.distance_of_key(ext) == zball.distance_of(eid)
 
 
 def tuple_key_ball(oracle, radius):
@@ -353,8 +357,9 @@ def test_compact_ball_equals_tuple_key_bfs(name, radius, request):
     ball = build_ball(group, radius)
     assert [ball.key(eid) for eid in range(len(ball))] == keys
     assert {key: ball.id_of(key) for key in keys} == ids
-    assert list(ball.dist) == dist
-    assert ball.trans == trans
+    assert [ball.distance_of(eid) for eid in range(len(ball))] == dist
+    # the flat rows, one per expanded element, are the tuple BFS's rows
+    assert [tuple(ball.row(eid)) or None for eid in range(len(ball))] == trans
     assert [links_of(ball, eid) for eid in range(len(ball))] == preds
     assert ball.sphere_sizes == sizes
 
@@ -379,7 +384,33 @@ def test_word_keys_one_sphere_in_and_one_out(name, request):
     found = [locate(ball, key) for key in outside]
     assert ball.radius == 4
     assert [ball.key(eid) for eid in found] == outside
-    assert all(ball.dist[eid] == 4 for eid in found)
+    assert all(ball.distance_of(eid) == 4 for eid in found)
+
+
+def test_any_error_mid_sphere_drops_the_partial_rows(wise):
+    ball = build_ball(wise, 2)
+    row, calls = ball.table.row, [0]
+
+    def interrupted(code):
+        calls[0] += 1
+        if calls[0] == 200:
+            raise KeyboardInterrupt
+        return row(code)
+
+    ball.table.row = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        extend_ball(ball, 4)
+    assert ball.radius == 3 and len(ball.rows) == ball.sphere(3).start * ball.n_letters
+    extend_ball(ball, 4)
+    assert _ball_state(ball) == _ball_state(build_ball(wise, 4))
+
+
+def test_running_out_of_key_prefixes_raises(monkeypatch):
+    monkeypatch.setattr(hnn, "_PREFIX_MASK", 7)  # eight prefix ids; B(2) of wise needs 35
+    wise = preset("wise")
+    assert len(build_ball(wise, 1)) == 13
+    with pytest.raises(OverflowError, match="more key prefixes than a code can address"):
+        build_ball(wise, 2)
 
 
 @pytest.mark.parametrize("name", ["wise", "g2"])
@@ -398,9 +429,9 @@ def test_cap_rollback_then_extension_equals_fresh_build(name, request):
 def test_radius_above_255(z2_ab):
     ball = build_ball(z2_ab, 256)
     assert ball.sphere_sizes == [1] + [4 * n for n in range(1, 257)]
-    assert max(ball.dist) == 256
+    assert ball.distance_of(len(ball) - 1) == 256
     far = ball.id_of(z2_ab.evaluate(parse_word(z2_ab.alphabet, "a" * 256)))
-    assert ball.dist[far] == 256 and ball.label(far) == "a" * 256
+    assert ball.distance_of(far) == 256 and ball.label(far) == "a" * 256
     assert ball.geodesic_count(far) == 1
 
 
@@ -447,7 +478,7 @@ def test_lookups_across_the_ball_lifecycle(name, request):
     pytest.param("wise", 6, 222_087, id="wise-r6"),
     pytest.param("g2", 7, 91_133, id="g2-r7"),
 ])
-def test_ball_keeps_at_most_170_bytes_per_element(name, radius, elements):
+def test_ball_keeps_at_most_85_bytes_per_element(name, radius, elements):
     group = preset(name)  # fresh, so the fold's memo tables are counted too
     tracemalloc.start()
     try:
@@ -457,17 +488,42 @@ def test_ball_keeps_at_most_170_bytes_per_element(name, radius, elements):
     finally:
         tracemalloc.stop()
     assert len(ball) == elements
-    # a code -> id dict over the whole ball would add about 43 B per element
-    assert kept / len(ball) <= 170
+    # flat codes and rows keep about 61 B (wise) and 76 B (g2); code ints,
+    # row tuples and a dist array kept 150 B and 159 B
+    assert kept / len(ball) <= 85
 
 
-def test_ball_build_peaks_at_most_12_bytes_per_element_above_what_it_keeps():
+def test_ball_build_peaks_at_most_165_bytes_per_element():
     group = preset("g2")  # fresh, as above
     tracemalloc.start()
     try:
         ball = build_ball(group, 7)
-        kept, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # S(7) is 79 % of the ball, so one temporary array("i") over it adds 3.2 B per element
-    assert (peak - kept) / len(ball) <= 12
+    # the peak comes while S(7)'s dedup dict is alive: about 158 B per
+    # element, against 168 B with code ints and row tuples
+    assert peak / len(ball) <= 165
+
+
+BS12 = """base {
+  kind = abelian
+  generators = a
+}
+stable t {
+  u = [a]
+  v = [aa]
+}
+"""
+
+
+def test_baumslag_solitar_1_2_spheres_and_ac_constants():
+    """BS(1,2) = <a, t | t^-1 a t = a^2>: an extension that is not isometric."""
+    bs12 = load_spec_text(BS12, name="bs12")
+    ball = build_ball(bs12, 13)
+    assert ball.sphere_sizes == [1, 4, 12, 26, 50, 98, 184, 336, 606, 1086, 1914, 3350,
+                                 5846, 10134]
+    assert [ball.distance_of(sphere.start) for sphere in map(ball.sphere, range(14))] == \
+        list(range(14))
+    assert [r.c for r in ac_profile(ball, 12).records] == [2, 2, 3, 3, 3, 6, 7, 7, 11, 11,
+                                                           16, 16]

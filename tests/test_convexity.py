@@ -493,7 +493,6 @@ def reference_inside_bfs(ball, n, start, goal):
     if start == goal:
         return []
     hi = ball.sphere(n).stop
-    trans = ball.trans
     pg = {start: (-1, -1)}
     ph = {goal: (-1, -1)}
     fg, fh = [start], [goal]
@@ -505,7 +504,7 @@ def reference_inside_bfs(ball, n, start, goal):
             swapped = False
         nxt = []
         for v in fg:
-            for lid, t in enumerate(trans[v]):
+            for lid, t in enumerate(ball.row(v)):
                 if t >= hi or t in pg:
                     continue
                 pg[t] = (v, lid)
@@ -739,8 +738,8 @@ elif sys.argv[1] == "snf":
 elif sys.argv[1] == "ac-upper":
     def through_upper(ball, n, g, h):
         # a far pair's two letters through a common midpoint on S(n+1)
-        for l1, m in enumerate(ball.trans[g]):
-            if ball.dist[m] > n:
+        for l1, m in enumerate(ball.row(g)):
+            if ball.distance_of(m) > n:
                 for k in range(ball.link_start[m], ball.link_start[m + 1]):
                     if ball.link_src[k] == h:
                         return [l1, ball.link_letter[k] ^ 1]

@@ -20,10 +20,12 @@ their keys are equal.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .cayley import BallIndex, OracleKeys, locate
 from .words import Alphabet, Word, reduce_ids
+
+if TYPE_CHECKING:
+    from .cayley import BallIndex
 
 
 class BaseGroupOracle:
@@ -71,6 +73,28 @@ class BaseGroupOracle:
     def key_table(self) -> OracleKeys:
         """The key table of a ball over this oracle: its keys as they are."""
         return OracleKeys(self)
+
+
+class OracleKeys:
+    """The trivial key table of a base oracle: its codes are the oracle's keys."""
+
+    def __init__(self, oracle: BaseGroupOracle):
+        self.oracle = oracle
+        self.identity = oracle.identity_key()
+
+    def row(self, key) -> list:
+        apply_letter = self.oracle.apply_letter
+        return [apply_letter(key, lid) for lid in range(self.oracle.alphabet.n_letters)]
+
+    def key(self, code):
+        return code
+
+    def encode(self, key):
+        return key
+
+    def new_codes(self) -> list:
+        """A ball's code container, holding the identity: a list of keys."""
+        return [self.identity]
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -207,24 +231,35 @@ def _smith_decomp(m: list[list[int]]) -> tuple[list[int], list[list[int]], list[
 
 
 def _unimodular_inverse(s: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, by Gauss-Jordan over Q."""
-    from fractions import Fraction
+    """Exact inverse of a unimodular integer matrix, by Gauss-Jordan over Z.
 
+    Each column is brought down to one nonzero entry at or below the diagonal
+    by Euclid's algorithm on rows, which leaves the gcd of the column's
+    entries there.  A unimodular matrix has a pivot of +-1 in every column;
+    any other pivot means S is not unimodular.
+    """
     n = len(s)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(s)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(s)]
     for c in range(n):
-        p = next(r for r in range(c, n) if aug[r][c])
+        while True:
+            live = [r for r in range(c, n) if aug[r][c]]
+            p = min(live, key=lambda r: abs(aug[r][c]), default=None)
+            if len(live) <= 1:
+                break
+            for r in live:
+                if r != p:
+                    q = aug[r][c] // aug[p][c]
+                    aug[r] = [x - q * y for x, y in zip(aug[r], aug[p])]
+        if p is None or aug[p][c] not in (1, -1):
+            raise RuntimeError("Smith decomposition self-check failed: S is not unimodular")
         aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
+        if aug[c][c] < 0:
+            aug[c] = [-x for x in aug[c]]
         for r in range(n):
             if r != c and aug[r][c]:
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    if any(x.denominator != 1 for row in aug for x in row[n:]):
-        raise RuntimeError("Smith decomposition self-check failed: S is not unimodular")
-    return [[int(x) for x in row[n:]] for row in aug]
+    return [row[n:] for row in aug]
 
 
 def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):
@@ -423,4 +458,6 @@ def base_geodesic_length(oracle: BaseGroupOracle, w: Word,
         return exact
     if ball is None:
         raise ValueError("this oracle needs a ball for geodesic lengths")
+    from .cayley import locate
+
     return ball.distance_of(locate(ball, key))

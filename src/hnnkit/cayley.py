@@ -8,10 +8,10 @@ element and |p| = |element| - 1.  Storing all predecessor links makes
 geodesic enumeration a walk, not a search.
 
 Codes come from a key table the ball gets from its oracle and owns
-(oracle.key_table()).  A base oracle's table is trivial: codes are its
-keys.  An HnnSpec's table (hnn.HnnKeyTable) interns base segments and key
-prefixes, so a code is one int and a BFS step is a memo lookup instead of a
-fold.  Canonical keys go in and out through the table: id_of, `in` and
+(oracle.key_table()).  A base oracle's table (base_groups.OracleKeys) is
+trivial: codes are its keys.  An HnnSpec's table (hnn.HnnKeyTable) interns
+base segments and key prefixes, so a code is one int and a BFS step is a
+memo lookup instead of a fold.  Canonical keys go in and out through the table: id_of, `in` and
 locate encode a key, and BallIndex.key(eid) decodes one; a key with a part
 the table never interned is not in the ball.
 
@@ -114,28 +114,6 @@ class OutOfBallError(RuntimeError):
         )
         self.required_radius = required_radius
         self.have_radius = have_radius
-
-
-class OracleKeys:
-    """The trivial key table of a base oracle: its codes are the oracle's keys."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.identity = oracle.identity_key()
-
-    def row(self, key) -> list:
-        apply_letter = self.oracle.apply_letter
-        return [apply_letter(key, lid) for lid in range(self.oracle.alphabet.n_letters)]
-
-    def key(self, code):
-        return code
-
-    def encode(self, key):
-        return key
-
-    def new_codes(self) -> list:
-        """A ball's code container, holding the identity: a list of keys."""
-        return [self.identity]
 
 
 class BallIndex:

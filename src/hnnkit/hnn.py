@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .base_groups import BaseGroupOracle, base_geodesic_length
 from .subgroups import SubgroupOracle, SubgroupWord
@@ -426,15 +425,26 @@ class HnnKeyTable:
         return array("q", [self.identity])
 
 
-@dataclass(frozen=True)
 class NormalForm:
-    """Canonical Britton-reduced, coset-normalized representative."""
+    """Canonical Britton-reduced, coset-normalized representative; compared and
+    hashed by its key only."""
 
-    spec: HnnSpec = field(compare=False, repr=False)
-    key: tuple = field(compare=True)
+    __slots__ = ("spec", "key")
+
+    def __init__(self, spec: HnnSpec, key: tuple):
+        self.spec = spec
+        self.key = key
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
+
+    def __repr__(self):
+        return f"NormalForm(key={self.key!r})"
 
     @property
     def stable_markers(self) -> tuple:
@@ -447,8 +457,7 @@ class NormalForm:
         return self.spec.key_str(self.key)
 
 
-@dataclass(frozen=True)
-class Pinch:
+class Pinch(NamedTuple):
     start: int           # index of the opening stable letter in the word
     end: int             # index of the closing stable letter
     pair_index: int
@@ -537,11 +546,11 @@ def stable_letter_signature(nf: NormalForm) -> tuple[tuple[str, int], ...]:
 MAX_WITNESSES = 8  # witnesses kept per condition; witness_count counts them all
 
 
-@dataclass
 class ConditionReport:
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    witness_count: int = 0
+    def __init__(self, passed: bool, witnesses: Optional[list] = None, witness_count: int = 0):
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.witness_count = witness_count
 
     def fail(self, witness: str):
         self.passed = False
@@ -554,13 +563,14 @@ class ConditionReport:
                 "witness_count": self.witness_count}
 
 
-@dataclass
 class IsometricReport:
-    strip_equidistant: ConditionReport
-    geodesic: ConditionReport
-    totally_geodesic: ConditionReport
-    max_len: int
-    incomplete: bool = False
+    def __init__(self, strip_equidistant: ConditionReport, geodesic: ConditionReport,
+                 totally_geodesic: ConditionReport, max_len: int, incomplete: bool = False):
+        self.strip_equidistant = strip_equidistant
+        self.geodesic = geodesic
+        self.totally_geodesic = totally_geodesic
+        self.max_len = max_len
+        self.incomplete = incomplete
 
     @property
     def passed(self) -> bool:

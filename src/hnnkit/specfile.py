@@ -18,7 +18,6 @@ A file with no stable blocks describes a plain base group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .base_groups import AbelianOracle, BaseGroupOracle, FreeOracle
@@ -34,19 +33,22 @@ class SpecFileError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
 class StableBlock:
-    name: str
-    u_words: list[str] = field(default_factory=list)
-    v_words: list[str] = field(default_factory=list)
+    def __init__(self, name: str, u_words: Optional[list[str]] = None,
+                 v_words: Optional[list[str]] = None):
+        self.name = name
+        self.u_words = [] if u_words is None else u_words
+        self.v_words = [] if v_words is None else v_words
 
 
-@dataclass
 class SpecAst:
-    kind: str = ""
-    generators: list[str] = field(default_factory=list)
-    relators: list[tuple[str, Optional[str]]] = field(default_factory=list)
-    stables: list[StableBlock] = field(default_factory=list)
+    def __init__(self, kind: str = "", generators: Optional[list[str]] = None,
+                 relators: Optional[list[tuple[str, Optional[str]]]] = None,
+                 stables: Optional[list[StableBlock]] = None):
+        self.kind = kind
+        self.generators = [] if generators is None else generators
+        self.relators = [] if relators is None else relators
+        self.stables = [] if stables is None else stables
 
 
 def parse_spec_text(text: str) -> SpecAst:

@@ -9,8 +9,7 @@ negative, earlier generators first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class AlphabetMismatchError(ValueError):
@@ -23,15 +22,13 @@ class WordParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     kind: str  # "base" or "stable"
     index: int
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     generator: Generator
     sign: int
 

@@ -78,18 +78,38 @@ def test_decomposition_properties(case):
         assert coords == [int(k == pos) for k in range(dim)]
 
 
+@pytest.mark.parametrize("s, inverse", [
+    ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+    ([[0, 1, 0], [1, 0, 2], [0, 0, 1]], [[0, 1, -2], [1, 0, 0], [0, 0, 1]]),
+    ([[5, 3], [3, 2]], [[2, -3], [-3, 5]]),
+    ([[-1, 4, 2], [3, -11, -5], [2, -8, -3]], [[7, 4, -2], [1, 1, -1], [2, 0, 1]]),
+], ids=["determinant -1", "zero pivot, rows swap", "several Euclid rounds",
+        "negative pivots, determinant -1"])
+def test_inverse_is_exact(s, inverse):
+    assert _unimodular_inverse(s) == inverse
+    n = len(s)
+    assert _matmul(s, inverse) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_inverse_rejects_a_matrix_that_is_not_unimodular():
     with pytest.raises(RuntimeError, match="not unimodular"):
         _unimodular_inverse([[2, 0], [0, 1]])
+    with pytest.raises(RuntimeError, match="not unimodular"):
+        _unimodular_inverse([[1, 2], [2, 4]])  # singular: no pivot in the second column
 
 
 def test_loading_presets_imports_no_sympy():
+    # presets load first, so nothing but the spec path is imported yet: not
+    # the ball builder, the engines, dataclasses or fractions
     code = (
         "import sys\n"
-        "from hnnkit import cli, preset\n"
+        "from hnnkit import preset\n"
         "from hnnkit.presets import PRESET_NAMES\n"
         "for name in PRESET_NAMES:\n"
         "    preset(name)\n"
+        "print(*sorted(m for m in ('hnnkit.cayley', 'hnnkit.convexity', 'dataclasses',\n"
+        "                          'fractions') if m in sys.modules))\n"
+        "from hnnkit import cli\n"
         "rc = cli.main(['normalize', '--preset', 'wise', \"s'as\"])\n"
         "print('rc', rc, 'sympy' in sys.modules)\n"
     )
@@ -98,5 +118,6 @@ def test_loading_presets_imports_no_sympy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "d"
+    assert lines[0] == ""  # none of them
+    assert lines[1] == "d"
     assert lines[-1] == "rc 0 False"  # sympy stays out of the process

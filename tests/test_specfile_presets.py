@@ -1,11 +1,32 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hnnkit
 from hnnkit.base_groups import AbelianOracle, FreeOracle
 from hnnkit.hnn import HnnSpec, verify_isometric
 from hnnkit.presets import PRESET_NAMES, UnknownPresetError, preset, preset_text
 from hnnkit.specfile import SpecFileError, build_from_ast, load_spec_text, parse_spec_text
+
+
+def test_package_exports_resolve_to_their_submodules():
+    assert sum(map(len, hnnkit._EXPORTS.values())) == len(hnnkit.__all__)  # each name once
+    for name in hnnkit.__all__:
+        module = importlib.import_module(f"hnnkit.{hnnkit._MODULE_OF[name]}")
+        obj = getattr(module, name)
+        # the lookup hook itself, and the attribute it caches
+        assert hnnkit.__getattr__(name) is obj, name
+        assert getattr(hnnkit, name) is obj, name
+        # classes and functions are exported from the module that defines them
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    namespace: dict = {}
+    exec("from hnnkit import *", namespace)
+    assert set(hnnkit.__all__) <= namespace.keys()
+    assert set(hnnkit.__all__) <= set(dir(hnnkit))
+    with pytest.raises(AttributeError, match="'hnnkit' has no attribute 'no_such_name'"):
+        hnnkit.no_such_name
 
 
 def test_preset_kinds():

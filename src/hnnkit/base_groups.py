@@ -231,35 +231,15 @@ def _smith_decomp(m: list[list[int]]) -> tuple[list[int], list[list[int]], list[
 
 
 def _unimodular_inverse(s: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, by Gauss-Jordan over Z.
+    """Exact inverse of a unimodular integer matrix S.
 
-    Each column is brought down to one nonzero entry at or below the diagonal
-    by Euclid's algorithm on rows, which leaves the gcd of the column's
-    entries there.  A unimodular matrix has a pivot of +-1 in every column;
-    any other pivot means S is not unimodular.
+    Read off S's own Smith decomposition S2*S*T2 = D: S is unimodular
+    exactly when D is the identity, and then S^-1 = T2*S2.
     """
-    n = len(s)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(s)]
-    for c in range(n):
-        while True:
-            live = [r for r in range(c, n) if aug[r][c]]
-            p = min(live, key=lambda r: abs(aug[r][c]), default=None)
-            if len(live) <= 1:
-                break
-            for r in live:
-                if r != p:
-                    q = aug[r][c] // aug[p][c]
-                    aug[r] = [x - q * y for x, y in zip(aug[r], aug[p])]
-        if p is None or aug[p][c] not in (1, -1):
-            raise RuntimeError("Smith decomposition self-check failed: S is not unimodular")
-        aug[c], aug[p] = aug[p], aug[c]
-        if aug[c][c] < 0:
-            aug[c] = [-x for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    diag, s2, t2 = _smith_decomp([row[:] for row in s])
+    if diag != [1] * len(s):
+        raise RuntimeError("Smith decomposition self-check failed: S is not unimodular")
+    return _matmul(t2, s2)
 
 
 def _snf_images(n_gens: int, relator_vectors: list[tuple[int, ...]]):

@@ -28,7 +28,8 @@ assigned their ids (see below; a dict keeps insertion order, which is id
 order), so a sphere cut short leaves only rows to truncate.  Its links are
 then built from the rows of the sphere before by one stable counting sort
 on the target, whose cursors are the new tail of link_start itself.  The
-build makes no temporary the size of a sphere beyond the sort's counts.
+build makes no temporary the size of a sphere beyond the sort's counts and
+the zero bytes each link array grows by (bytes(n), read by frombytes).
 
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
@@ -84,7 +85,6 @@ from .words import Word, format_word
 
 MEM_CAP_ENV = "HNNKIT_MEM_CAP"
 DEFAULT_MEM_CAP = 20_000_000  # elements held by a ball index or cache
-_BLOCK = 1 << 14  # items per step when a link array grows
 
 
 def default_mem_cap() -> int:
@@ -318,8 +318,8 @@ def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
         start.extend(islice(accumulate(counts, initial=start[-1]), n_new))
         n_links = sum(counts)
         counts = None  # before the link arrays grow: the build's last peak
-        _grow(src, n_links)
-        _grow(letter, n_links)
+        src.frombytes(bytes(src.itemsize * n_links))
+        letter.frombytes(bytes(letter.itemsize * n_links))
         for eid, row in zip(frontier, zip(*[iter(rows)] * n)):  # n entries at a time
             for lid, t in enumerate(row):
                 if t >= base:
@@ -328,17 +328,6 @@ def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
                     start[t] = k + 1
                     src[k] = eid
                     letter[k] = lid
-
-
-def _grow(arr: array, n: int) -> None:
-    """Append n zeros, a block at a time.
-
-    Extending by one n-item array would be a temporary of n items.
-    """
-    block = array(arr.typecode, [0]) * min(n, _BLOCK)
-    for _ in range(n // _BLOCK):
-        arr.extend(block)
-    arr.extend(block[:n % _BLOCK])
 
 
 def locate(ball: BallIndex, key) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 from typing import Union
 
 from .base_groups import BaseGroupOracle
@@ -22,7 +22,9 @@ class UnknownPresetError(ValueError):
 def preset_text(name: str) -> str:
     if name not in PRESET_NAMES:
         raise UnknownPresetError(name)
-    return (resources.files("hnnkit") / "presets" / f"{name}.hnn").read_text()
+    path = os.path.join(os.path.dirname(__file__), "presets", f"{name}.hnn")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def preset(name: str) -> Union[HnnSpec, BaseGroupOracle]:

@@ -6,6 +6,7 @@ independent brute-force oracles in the sibling test modules; they are frozen
 here as regression pins.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -189,14 +190,49 @@ CLI_RUNS = [
 ]
 
 
-def test_ac09_determinism_across_runs(tmp_path, capsys):
+# SHA-256 of each CLI_RUNS report.  A change that alters a report's bytes
+# on purpose updates its digest here; any other change must leave them be.
+REPORT_SHA256 = {
+    "ball-wise-csv": "68e664fd7e97a269306c5dd286089025eb6a312d848c3c58e793c3a341751e2e",
+    "ball-wise-dot": "eb7f7d56fe0cd43ebf526f6335153ee22ee4f84d109cb2aa2534da381e1a380a",
+    "ball-wise-json": "b74afea3cc2c26e654b843efa5574034e79b9d95fa2ba8035c084519a609a1f0",
+    "ac-z2ab": "692eaa6f7b441feaf6ef17db03bcb5eab966e56d5db4fbdac1af87a58c545e3a",
+    "ac-z2abcd": "8addd2e832e1581ad09610b161185bf8432ca1d73892e5ea7bda4d4cbacfde54",
+    "ac-wise": "f95e162f8491c61c867e2c9e1d4de1c40cab4bfdcd4630d9e7d3173567ce56f5",
+    "ac-g2": "27b3324782233f3ee7c23f962ce59b0b064fefabda65293a7d25ed135040af4f",
+    "fftp-z2abcd": "08d24ea71a7e7ce2443b4740710d394d997c8d5ef00a27258679a11ca81dd00b",
+    "fftp-z2ab": "5ef040d7854888c21d175f32f47ed3d343ccfafefbe0abd7b2fac67aba54e47e",
+    "fftp-f2": "905d5eb47b514536b3d2f623779d0f011ce2b45d0129ccf3d79205fed4f8640a",
+    "vi-wise": "ceba27f9ed2b9bb516d17e6b9641893e18bf929a20fef6871767630efffbb822",
+    "vi-g2": "30d769f42914f6f1f78500b41ed831e2f84b637741fbac99e7a62f6b50e3c820",
+    "sig-wise": "b6cbe2a2409c97ea4a4986d2104653a1216cf37f2e5c40c9409399097cc687d4",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_reports(tmp_path_factory):
+    """The bytes of each CLI_RUNS report, from one run each."""
+    out = tmp_path_factory.mktemp("reports")
+    reports = {}
     for name, argv in CLI_RUNS:
-        outputs = []
-        for run in (1, 2):
-            path = tmp_path / f"{name}-{run}"
-            rc = cli_main(argv + ["--out", str(path)])
-            assert rc == 0, (name, run, rc)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1], f"{name}: bytes differ between two runs"
+        rc = cli_main(argv + ["--out", str(out / name)])
+        assert rc == 0, (name, rc)
+        reports[name] = (out / name).read_bytes()
+    return reports
+
+
+def test_ac09_determinism_across_runs(cli_reports, tmp_path, capsys):
+    for name, argv in CLI_RUNS:
+        path = tmp_path / name
+        rc = cli_main(argv + ["--out", str(path)])
+        assert rc == 0, (name, rc)
+        assert path.read_bytes() == cli_reports[name], f"{name}: bytes differ between two runs"
     capsys.readouterr()
     print(f"AC-9 PASS: {len(CLI_RUNS)} reports byte-identical between two runs")
+
+
+def test_reports_match_pinned_digests(cli_reports):
+    changed = [name for name, data in cli_reports.items()
+               if hashlib.sha256(data).hexdigest() != REPORT_SHA256[name]]
+    assert not changed, f"report bytes differ from the pinned digests: {changed}"
+    print(f"PASS: {len(CLI_RUNS)} reports match their pinned SHA-256 digests")

@@ -121,3 +121,21 @@ def test_loading_presets_imports_no_sympy():
     assert lines[0] == ""  # none of them
     assert lines[1] == "d"
     assert lines[-1] == "rc 0 False"  # sympy stays out of the process
+
+
+def test_loading_presets_without_site_imports_no_resources_or_pathlib():
+    # under -S no site hook imports anything at start-up, so what the load
+    # itself imports shows: the preset files are read with open
+    code = (
+        "import sys\n"
+        "from hnnkit import preset\n"
+        "from hnnkit.presets import PRESET_NAMES\n"
+        "for name in PRESET_NAMES:\n"
+        "    preset(name)\n"
+        "print(*sorted(m for m in ('importlib.resources', 'pathlib') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"  # neither of them

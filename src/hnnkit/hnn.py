@@ -37,7 +37,7 @@ import threading
 from array import array
 from typing import NamedTuple, Optional, Sequence
 
-from .base_groups import BaseGroupOracle, base_geodesic_length
+from .base_groups import BaseGroupOracle
 from .subgroups import SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
 
@@ -624,90 +624,61 @@ def _parses_in_language(ids: tuple[int, ...], blocks: list[tuple[int, ...]]) -> 
     return reachable[n]
 
 
-def _reduced_subgroup_words(m: int, cap: int, weights: list[int]):
-    """Index-reduced subgroup words whose literal expansion length is <= cap."""
-    stack: list[tuple[SubgroupWord, int]] = [((), 0)]
-    while stack:
-        sw, length = stack.pop()
-        yield sw
-        for j in range(m):
-            for s in (1, -1):
-                if sw and sw[-1] == (j, -s):
-                    continue
-                l2 = length + weights[j]
-                if l2 <= cap:
-                    stack.append((sw + ((j, s),), l2))
-
-
 def verify_isometric(spec: HnnSpec, max_len: int,
                      mem_cap: Optional[int] = None) -> IsometricReport:
-    """Check strip equidistance plus the geodesic and totally geodesic conditions.
+    """Check strip equidistance and, up to max_len, the (totally) geodesic conditions.
 
-    The first two conditions are exact.  The totally-geodesic condition is
-    verified over every subgroup element within the base ball of radius
-    max_len, with every geodesic representative enumerated from the ball's
-    predecessor links.  One base ball serves all three conditions; it grows
-    as the lengths need it, then to max_len.  A cap hit anywhere marks the
-    report incomplete.
+    All three are read off one base ball B(max_len), built once.  Strip
+    equidistance compares the base lengths of paired generator words, so the
+    ball must hold every generator.  Then one pass over the ball rewrites
+    each element over each subgroup's generator words.  The words are a free
+    basis, so a member has one reduced rewrite: if its literal expansion is
+    at most max_len long it must be a geodesic (the geodesic condition), and
+    every geodesic word of the member, enumerated from the ball's predecessor
+    links, must split into generator words and their inverses (the totally
+    geodesic condition).  A cap hit while building the ball leaves every
+    condition unknown and marks the report incomplete.
     """
-    from .cayley import BallCapError, build_ball, extend_ball, geodesics_of
+    from .cayley import BallCapError, build_ball, geodesics_of
 
     base = spec.base
-    ball = build_ball(base, 0, mem_cap=mem_cap)
     strip, geo, total = ConditionReport(True), ConditionReport(True), ConditionReport(True)
-    incomplete = False
     try:
-        gen_lens = [
-            [base_geodesic_length(base, gw, ball) for gw in sub.generator_words]
-            for pair in spec.pairs
-            for sub in (pair.u, pair.v)
-        ]
-        if max_len < max(max(ls) for ls in gen_lens):
-            raise ValueError("max_len must be at least the longest generator word")
-
-        for i, pair in enumerate(spec.pairs):
-            for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
-                lu, lv = gen_lens[2 * i][j], gen_lens[2 * i + 1][j]
-                if lu != lv:
-                    strip.fail(f"pair {i} generator {j}: |{format_word(uw)}|={lu} "
-                               f"!= |{format_word(vw)}|={lv}")
-
-        for i, pair in enumerate(spec.pairs):
-            for side, sub in (("U", pair.u), ("V", pair.v)):
-                weights = [len(gw) for gw in sub.generator_words]
-                for sw in _reduced_subgroup_words(len(weights), max_len, weights):
-                    if not sw:
-                        continue
-                    expansion = sub.expand(sw)
-                    want = len(expansion)
-                    got = base_geodesic_length(base, expansion, ball)
-                    if got != want:
-                        geo.fail(
-                            f"pair {i} {side}: expansion {format_word(expansion)} "
-                            f"has length {got} < {want}"
-                        )
-
-        extend_ball(ball, max_len)
-        blocks_per_sub = {}
-        for i, pair in enumerate(spec.pairs):
-            for side, sub in (("U", pair.u), ("V", pair.v)):
-                blocks = [gw.ids for gw in sub.generator_words]
-                blocks += [tuple(l ^ 1 for l in reversed(b)) for b in blocks]
-                blocks_per_sub[(i, side)] = blocks
-        for eid in range(len(ball)):
-            key = ball.key(eid)
-            for i, pair in enumerate(spec.pairs):
-                for side, sub in (("U", pair.u), ("V", pair.v)):
-                    if not sub.contains(key):
-                        continue
-                    for geod in geodesics_of(ball, key):
-                        if not _parses_in_language(geod.ids, blocks_per_sub[(i, side)]):
-                            total.fail(
-                                f"pair {i} {side}: geodesic {format_word(geod)} of "
-                                f"{base.key_str(key)} is outside the generator language"
-                            )
+        ball = build_ball(base, max(max_len, 0), mem_cap=mem_cap)
     except BallCapError:
-        # the ball stops at a complete radius; every check left is unknown
-        incomplete = True
+        return IsometricReport(strip, geo, total, max_len, incomplete=True)
 
-    return IsometricReport(strip, geo, total, max_len, incomplete)
+    def length(w: Word) -> int:
+        key = base.evaluate(w)
+        if key not in ball:
+            raise ValueError("max_len must be at least the longest generator word")
+        return ball.distance_of_key(key)
+
+    subs = []
+    for i, pair in enumerate(spec.pairs):
+        for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
+            lu, lv = length(uw), length(vw)
+            if lu != lv:
+                strip.fail(f"pair {i} generator {j}: |{format_word(uw)}|={lu} "
+                           f"!= |{format_word(vw)}|={lv}")
+        for side, sub in (("U", pair.u), ("V", pair.v)):
+            blocks = [gw.ids for gw in sub.generator_words]
+            blocks += [tuple(l ^ 1 for l in reversed(b)) for b in blocks]
+            subs.append((f"pair {i} {side}", sub, blocks))
+
+    for d in range(ball.radius + 1):
+        for eid in ball.sphere(d):
+            key = ball.key(eid)
+            for where, sub, blocks in subs:
+                sw = sub.membership_with_rewrite(key)
+                if sw is None:
+                    continue
+                expansion = sub.expand(sw)
+                if d < len(expansion) <= max_len:
+                    geo.fail(f"{where}: expansion {format_word(expansion)} "
+                             f"has length {d} < {len(expansion)}")
+                for geod in geodesics_of(ball, key):
+                    if not _parses_in_language(geod.ids, blocks):
+                        total.fail(f"{where}: geodesic {format_word(geod)} of "
+                                   f"{base.key_str(key)} is outside the generator language")
+    return IsometricReport(strip, geo, total, max_len)

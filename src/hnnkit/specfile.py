@@ -55,6 +55,8 @@ def parse_spec_text(text: str) -> SpecAst:
     ast = SpecAst()
     block: Optional[str] = None
     current_stable: Optional[StableBlock] = None
+    seen: set[str] = set()  # the entries of the open block, which may not repeat
+    had_base = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,13 +66,16 @@ def parse_spec_text(text: str) -> SpecAst:
             if block is not None:
                 raise SpecFileError("nested block", line_no)
             if head == ["base"]:
-                block = "base"
+                if had_base:
+                    raise SpecFileError("a second base block", line_no)
+                block, had_base = "base", True
             elif len(head) == 2 and head[0] == "stable":
                 block = "stable"
                 current_stable = StableBlock(head[1])
                 ast.stables.append(current_stable)
             else:
                 raise SpecFileError(f"unknown block header {line!r}", line_no)
+            seen = set()
             continue
         if line == "}":
             if block is None:
@@ -78,32 +83,32 @@ def parse_spec_text(text: str) -> SpecAst:
             block = None
             current_stable = None
             continue
-        if block == "base":
-            if line.startswith("kind"):
-                ast.kind = _after_eq(line, line_no)
-            elif line.startswith("generators"):
-                ast.generators = _after_eq(line, line_no).split()
-            elif line.startswith("relator"):
-                body = line[len("relator"):].strip()
-                if "=" in body:
-                    lhs, rhs = (part.strip() for part in body.split("=", 1))
-                    ast.relators.append((lhs, rhs))
-                else:
-                    ast.relators.append((body, None))
-            else:
-                raise SpecFileError(f"unknown base entry {line!r}", line_no)
-        elif block == "stable":
-            if line.startswith("u") or line.startswith("v"):
-                side = line[0]
-                words = _word_list(_after_eq(line, line_no), line_no)
-                if side == "u":
-                    current_stable.u_words = words
-                else:
-                    current_stable.v_words = words
-            else:
-                raise SpecFileError(f"unknown stable entry {line!r}", line_no)
-        else:
+        if block is None:
             raise SpecFileError(f"content outside a block: {line!r}", line_no)
+        if block == "base" and line.split()[0] == "relator":
+            body = line[len("relator"):].strip()
+            if "=" in body:
+                lhs, rhs = (part.strip() for part in body.split("=", 1))
+                ast.relators.append((lhs, rhs))
+            else:
+                ast.relators.append((body, None))
+            continue
+        entry, eq, value = (part.strip() for part in line.partition("="))
+        if entry not in (("kind", "generators") if block == "base" else ("u", "v")):
+            raise SpecFileError(f"unknown {block} entry {line!r}", line_no)
+        if entry in seen:
+            raise SpecFileError(f"repeated {block} entry {entry!r}", line_no)
+        if not eq:
+            raise SpecFileError(f"expected '=' in {line!r}", line_no)
+        seen.add(entry)
+        if entry == "kind":
+            ast.kind = value
+        elif entry == "generators":
+            ast.generators = value.split()
+        elif entry == "u":
+            current_stable.u_words = _word_list(value, line_no)
+        else:
+            current_stable.v_words = _word_list(value, line_no)
     if block is not None:
         raise SpecFileError("unterminated block")
     if ast.kind not in ("abelian", "free"):
@@ -111,12 +116,6 @@ def parse_spec_text(text: str) -> SpecAst:
     if not ast.generators:
         raise SpecFileError("base block must declare generators")
     return ast
-
-
-def _after_eq(line: str, line_no: int) -> str:
-    if "=" not in line:
-        raise SpecFileError(f"expected '=' in {line!r}", line_no)
-    return line.split("=", 1)[1].strip()
 
 
 def _word_list(body: str, line_no: int) -> list[str]:

@@ -32,14 +32,6 @@ from .words import Word, free_reduce
 
 SubgroupWord = tuple  # of (generator index, sign) pairs
 
-# Membership answers a Stallings oracle keeps before it drops them all and
-# starts over.  Word folds ask about the same segments again and again (95 %
-# hits on the g2 half of the words_nf benchmark, length-200 words); a ball
-# build seldom asks twice, since its key table splits each segment once per
-# stable letter (25 % hits on the g2 radius-8 ball and its checks).  The
-# bound keeps long runs from growing the cache without limit.
-_REWRITE_CACHE_SIZE = 1 << 16
-
 
 def _sw_reduce(pairs) -> SubgroupWord:
     out = []
@@ -210,7 +202,6 @@ class StallingsSubgroup(SubgroupOracle):
         # rank of the subgroup: E - V + 1 of the folded (connected) graph
         self.rank = sum(map(len, self._adj)) // 2 - live + 1
         self._core_reps()
-        self._rewrite_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -266,24 +257,15 @@ class StallingsSubgroup(SubgroupOracle):
     # -- folded automaton queries -------------------------------------------
 
     def membership_with_rewrite(self, key) -> Optional[SubgroupWord]:
-        if key in self._rewrite_cache:
-            return self._rewrite_cache[key]
         v = 0
         parts: list[tuple[int, int]] = []
-        result: Optional[SubgroupWord] = None
         for lid in key:
             hit = self._adj[v].get(lid)
             if hit is None:
-                break
+                return None
             v, expr = hit
             parts.extend(expr)
-        else:
-            if v == 0:
-                result = _sw_reduce(parts)
-        if len(self._rewrite_cache) >= _REWRITE_CACHE_SIZE:
-            self._rewrite_cache.clear()
-        self._rewrite_cache[key] = result
-        return result
+        return _sw_reduce(parts) if v == 0 else None
 
     # -- coset representatives ----------------------------------------------
 

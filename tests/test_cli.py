@@ -223,7 +223,7 @@ def test_verify_isometric_json_counts_every_witness(capsys, tmp_path):
 
 
 def test_verify_isometric_obeys_mem_cap(capsys):
-    # a cap of 5 is hit while measuring the generator words, 10 later on
+    # caps of 5 and 10 both stop the base ball B(6) short
     for cap in ("5", "10"):
         for name in ("wise", "g2"):
             rc, out, _ = run(capsys, "verify-isometric", "--preset", name, "--max-len", "6",

@@ -298,6 +298,40 @@ def test_verify_isometric_broken_fixture_witnesses():
     assert not report.passed
 
 
+_BS12 = "base {\n  kind = abelian\n  generators = a\n}\nstable t {\n  u = [a]\n  v = [aa]\n}\n"
+# g2 with u = <ab, b> = F2, where |ab| = 2, paired with v = <aab, b>, where |aab| = 3
+_G2_SKEW = "base {\n  kind = free\n  generators = a b\n}\nstable s {\n  u = [ab, b]\n  v = [aab, b]\n}\n"
+
+
+@pytest.mark.parametrize("source,max_len,counts", [
+    *(pytest.param(name, n, (0, 0, 0), id=f"{name}-{n}") for name in ("wise", "g2")
+      for n in (4, 6, 8)),
+    *(pytest.param(BROKEN, n, c, id=f"broken-{n}")
+      for n, c in ((4, (0, 6, 26)), (6, (0, 10, 52)), (8, (0, 14, 86)))),
+    *(pytest.param(_BS12, n, (1, 0, 0), id=f"bs12-{n}") for n in (4, 6, 8)),
+    pytest.param(_G2_SKEW, 4, (1, 10, 152), id="g2-skew-4"),
+    pytest.param(_G2_SKEW, 6, (1, 88, 1480), id="g2-skew-6"),
+])
+def test_verify_isometric_pinned_witness_counts(source, max_len, counts):
+    """Witness counts of (strip, geodesic, totally geodesic) on the presets
+    and on three extensions that fail some of the conditions."""
+    spec = preset(source) if source in ("wise", "g2") else load_spec_text(source)
+    report = verify_isometric(spec, max_len)
+    conds = (report.strip_equidistant, report.geodesic, report.totally_geodesic)
+    assert tuple(c.witness_count for c in conds) == counts
+    assert tuple(c.passed for c in conds) == tuple(n == 0 for n in counts)
+    assert report.passed == (counts == (0, 0, 0)) and not report.incomplete
+    if source == BROKEN and max_len == 4:
+        assert set(report.geodesic.witnesses) == {
+            "pair 0 V: expansion cc has length 1 < 2",
+            "pair 0 V: expansion ccc has length 2 < 3",
+            "pair 0 V: expansion cccc has length 2 < 4",
+            "pair 0 V: expansion c'c' has length 1 < 2",
+            "pair 0 V: expansion c'c'c' has length 2 < 3",
+            "pair 0 V: expansion c'c'c'c' has length 2 < 4",
+        }
+
+
 def reference_fold(spec, ids):
     """The normal-form key of a word, folded without the split memo: a stable
     letter pinches if the segment before it is in the crossed subgroup, else

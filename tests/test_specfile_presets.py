@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,16 @@ def test_package_exports_resolve_to_their_submodules():
     assert set(hnnkit.__all__) <= set(dir(hnnkit))
     with pytest.raises(AttributeError, match="'hnnkit' has no attribute 'no_such_name'"):
         hnnkit.no_such_name
+
+
+def test_package_has_no_assert_statements():
+    """Self-checks raise, so that they survive python -O, which strips asserts."""
+    found = []
+    for path in sorted(pathlib.Path(hnnkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_preset_kinds():
@@ -77,6 +89,52 @@ def test_parse_errors():
                 "base {\n kind = free\n generators = a b\n relator a = b\n}\n"
             )
         )
+
+
+_WISE_S = """base {
+  kind = abelian
+  generators = a b c d
+  relator c = ab
+  relator d = cc
+}
+stable s {
+  u = [a]
+  v = [d]
+%s}
+"""
+
+
+@pytest.mark.parametrize("text,message", [
+    # entry names are exact words, not prefixes
+    pytest.param(_WISE_S % "  vv = [c]\n", r"^unknown stable entry 'vv = \[c\]' \(line 10\)$",
+                 id="vv-after-v"),
+    pytest.param(_WISE_S % "  upper = [a]\n", r"^unknown stable entry .* \(line 10\)$",
+                 id="upper"),
+    pytest.param("base {\n  kindness = free\n  generators = a b\n}\n",
+                 r"^unknown base entry 'kindness = free' \(line 2\)$", id="kindness"),
+    pytest.param("base {\n  kind = abelian\n  generators = a b\n  relatorb = ab\n}\n",
+                 r"^unknown base entry 'relatorb = ab' \(line 4\)$", id="relator-prefix"),
+    pytest.param(_WISE_S % "  relator a = b\n", r"^unknown stable entry .* \(line 10\)$",
+                 id="relator-in-stable"),
+    # an entry may not repeat within its block, nor the base block within the file
+    pytest.param(_WISE_S % "  v = [c]\n", r"^repeated stable entry 'v' \(line 10\)$",
+                 id="v-twice"),
+    pytest.param(_WISE_S % "  u = [b]\n", r"^repeated stable entry 'u' \(line 10\)$",
+                 id="u-twice"),
+    pytest.param("base {\n  kind = free\n  generators = a b\n  generators = a\n}\n",
+                 r"^repeated base entry 'generators' \(line 4\)$", id="generators-twice"),
+    pytest.param("base {\n  kind = free\n  generators = a\n  kind = abelian\n}\n",
+                 r"^repeated base entry 'kind' \(line 4\)$", id="kind-twice"),
+    pytest.param("base {\n  kind = free\n  generators = a\n}\nbase {\n  kind = abelian\n}\n",
+                 r"^a second base block \(line 5\)$", id="base-twice"),
+    pytest.param("base {\n  kind free\n  generators = a\n}\n",
+                 r"^unknown base entry 'kind free' \(line 2\)$", id="no-equals"),
+    pytest.param("base {\n  kind\n  generators = a\n}\n",
+                 r"^expected '=' in 'kind' \(line 2\)$", id="bare-entry"),
+])
+def test_misspelled_and_repeated_entries_are_rejected(text, message):
+    with pytest.raises(SpecFileError, match=message):
+        parse_spec_text(text)
 
 
 def test_mismatched_pair_counts_rejected():

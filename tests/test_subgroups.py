@@ -139,20 +139,6 @@ def test_stallings_rewrite_soundness_exhaustive(f2):
                 assert f2.evaluate(sub.expand(sw)) == key
 
 
-def test_stallings_rewrite_cache_is_bounded(f2, monkeypatch):
-    p = lambda s: parse_word(f2.alphabet, s)
-    gens = [p("bb"), p("aba")]
-    keys = [f2.evaluate(w) for w in enumerate_words(f2.alphabet, 6)]
-    want = [stallings_subgroup(f2, gens).membership_with_rewrite(k) for k in keys]
-    monkeypatch.setattr(subgroups, "_REWRITE_CACHE_SIZE", 8)
-    sub = stallings_subgroup(f2, gens)
-    got = []
-    for k in keys + keys:
-        got.append(sub.membership_with_rewrite(k))
-        assert len(sub._rewrite_cache) <= 8
-    assert got == want + want
-
-
 def test_image_is_the_generator_wise_isomorphism(wise_base, f2):
     p = lambda o, s: parse_word(o.alphabet, s)
     pairs = [

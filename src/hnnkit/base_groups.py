@@ -10,22 +10,40 @@ exposes the same small surface used throughout the toolkit:
     mult_key(k1, k2), inv_key(k)
     evaluate(word) -> key
     key_str(key), word_of_key(key)
+    geodesic_length_exact(key), geodesic_word(key)
 
 apply_letter_left(lid, key) is derived once, in BaseGroupOracle: the key of
 the letter times the key.
 
 Keys are hashable values; two words represent the same group element iff
 their keys are equal.
+
+Both oracles measure word length exactly, with no ball.  A free key is its
+own shortlex least geodesic.  An abelian element's length is an integer
+program: |v| = min sum |n_g| over the exponent vectors n with
+sum n_g * x_g = v.  Split n = p - q with p, q >= 0 and give each torsion
+coordinate j a free integer variable t_j for its modulus m_j (a column
+m_j * e_j of cost 0).  The LP relaxation's optima are spanned by its basic
+solutions: t and one solution n_S of the free-coordinate system for each
+set S of free_rank generators whose free parts are independent.  By the
+proximity theorem of Cook, Gerards, Schrijver and Tardos (Sensitivity
+theorems in integer linear programming, Math. Programming 34, 1986),
+every integer optimum lies within N * Delta of some LP optimum in every
+coordinate, where N = 2 * n_gens + n_moduli is the number of variables
+and Delta the largest absolute subdeterminant of the constraint matrix.
+So every integer optimum lies in that window around the bounding box of
+the optimal basic solutions, and enumerating the coset of the relator
+lattice inside it finds all of them.  Letters commute, so the shortlex
+least geodesic is the sorted word of the optimum with the most of the least
+letter, then of the next, and so on.  All of it is integer arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .words import Alphabet, Word, reduce_ids
-
-if TYPE_CHECKING:
-    from .cayley import BallIndex
 
 
 class BaseGroupOracle:
@@ -63,9 +81,13 @@ class BaseGroupOracle:
     def word_of_key(self, key) -> Word:
         raise NotImplementedError
 
-    def geodesic_length_exact(self, key) -> Optional[int]:
-        """Length without a ball search, when the oracle knows it; else None."""
-        return None
+    def geodesic_length_exact(self, key) -> int:
+        """The element's word length."""
+        raise NotImplementedError
+
+    def geodesic_word(self, key) -> Word:
+        """The element's shortlex least geodesic word."""
+        raise NotImplementedError
 
     def is_identity(self, key) -> bool:
         return key == self.identity_key()
@@ -230,6 +252,48 @@ def _smith_decomp(m: list[list[int]]) -> tuple[list[int], list[list[int]], list[
     return result, s, t
 
 
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _echelon(vectors: list[tuple[int, ...]], n: int) -> list[tuple[int, list[int]]]:
+    """A basis of the lattice the vectors span, in row echelon form.
+
+    (pivot column, row) pairs by increasing pivot column; a row is zero
+    before its pivot, where it is positive.
+    """
+    rows = [list(v) for v in vectors]
+    basis = []
+    for c in range(n):
+        live = [r for r in rows if r[c]]
+        while len(live) > 1:  # Euclid on column c
+            p = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not p:
+                    q = r[c] // p[c]
+                    for j in range(c, n):
+                        r[j] -= q * p[j]
+            live = [r for r in live if r[c]]
+        if live:
+            rows.remove(live[0])
+            basis.append((c, live[0] if live[0][c] > 0 else [-x for x in live[0]]))
+    return basis
+
+
 def _unimodular_inverse(s: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix S.
 
@@ -303,7 +367,7 @@ class AbelianOracle(BaseGroupOracle):
         self.alphabet = alphabet
         self.relators = tuple(relators)
         n = len(alphabet.generators)
-        vectors = []
+        vectors = self._relator_vectors = []
         for r in self.relators:
             if r.alphabet != alphabet:
                 raise ValueError("relator is over a different alphabet")
@@ -315,6 +379,7 @@ class AbelianOracle(BaseGroupOracle):
         self.images = [tuple(img) for img in images]
         self._dim = self.free_rank + len(self.moduli)
         self._identity = (0,) * self._dim
+        self._metric = None  # the norm's tables, on first use
         # per letter id, the delta added by one application
         self._deltas = []
         for g in range(n):
@@ -350,7 +415,8 @@ class AbelianOracle(BaseGroupOracle):
             s += ";" + ",".join(str(x) for x in key[fr:])
         return s
 
-    def word_of_key(self, key) -> Word:
+    def _exponents(self, key) -> list[int]:
+        """Some exponent vector over the generators whose element is key."""
         n = len(self.alphabet.generators)
         exps = [0] * n
         for pos, row in enumerate(self._rows):
@@ -358,11 +424,106 @@ class AbelianOracle(BaseGroupOracle):
             pre = self._preimages[row]
             for g in range(n):
                 exps[g] += c * pre[g]
+        return exps
+
+    def _word(self, exps: list[int]) -> Word:
         ids = []
         for g, e in enumerate(exps):
-            lid = 2 * g if e > 0 else 2 * g + 1
-            ids.extend([lid] * abs(e))
+            ids.extend([2 * g if e > 0 else 2 * g + 1] * abs(e))
         return Word(self.alphabet, tuple(ids))
+
+    def word_of_key(self, key) -> Word:
+        """Some word of the element, not in general a geodesic (geodesic_word spells one)."""
+        return self._word(self._exponents(key))
+
+    def geodesic_length_exact(self, key) -> int:
+        return sum(map(abs, self._geodesic_exponents(key)))
+
+    def geodesic_word(self, key) -> Word:
+        return self._word(self._geodesic_exponents(key))
+
+    def _metric_tables(self):
+        """The norm's tables, built on first use (see the module docstring).
+
+        Per set S of free_rank generators with independent free parts: S,
+        the matrix M_S of their free parts and its determinant.  Then the
+        relator lattice in echelon form, and the proximity window N * Delta.
+        """
+        n, fr = len(self.alphabet.generators), self.free_rank
+        vertices = []
+        for gens in combinations(range(n), fr):
+            m = [[self.images[g][r] for g in gens] for r in range(fr)]
+            det = _det(m)
+            if det:
+                vertices.append((gens, m, det))
+        columns = self.images + [tuple(mod * (r == fr + j) for r in range(self._dim))
+                                 for j, mod in enumerate(self.moduli)]
+        delta = max((abs(_det([[col[r] for col in cols] for r in rows]))
+                     for k in range(1, self._dim + 1)
+                     for rows in combinations(range(self._dim), k)
+                     for cols in combinations(columns, k)), default=1)
+        window = (2 * n + len(self.moduli)) * delta
+        return vertices, _echelon(self._relator_vectors, n), window
+
+    def _geodesic_exponents(self, key) -> list[int]:
+        """The exponent vector of the element's shortlex least geodesic."""
+        if self._metric is None:
+            self._metric = self._metric_tables()
+        vertices, lattice, window = self._metric
+        n = len(self.alphabet.generators)
+        v = key[:self.free_rank]
+        # the optimal basic solutions of the LP relaxation, each as num / den
+        # by Cramer's rule
+        optima, best = [], None
+        for gens, m, det in vertices:
+            num = [_det([row[:k] + [x] + row[k + 1:] for row, x in zip(m, v)])
+                   for k in range(len(gens))]
+            if det < 0:
+                num, den = [-x for x in num], -det
+            else:
+                den = det
+            cost = sum(map(abs, num))
+            if best is None or cost * best[1] < best[0] * den:
+                optima, best = [], (cost, den)
+            if cost * best[1] == best[0] * den:
+                optima.append((dict(zip(gens, num)), den))
+        # the window around the optima's bounding box in p_g and q_g, where
+        # n_g = p_g - q_g; an integer optimum has p_g = 0 or q_g = 0
+        lo, hi = [], []
+        for g in range(n):
+            vals = [(at.get(g, 0), den) for at, den in optima]
+            p_hi = max(max(x, 0) // d for x, d in vals)  # floors of the largest
+            q_hi = max(max(-x, 0) // d for x, d in vals)
+            p_lo = min(-(min(-x, 0) // d) for x, d in vals)  # ceilings of the least
+            q_lo = min(-(min(x, 0) // d) for x, d in vals)
+            lo.append(p_lo - window if p_lo > window else -(q_hi + window))
+            hi.append(window - q_lo if q_lo > window else p_hi + window)
+        # the coset of the relator lattice in the window, depth first: lattice
+        # coordinate i fixes the columns from its pivot to the next pivot, and
+        # a branch whose fixed columns cost more than the best leaf is cut
+        starts = [c for c, _ in lattice] + [n]
+        best_rank, best_x = None, None
+
+        def search(i: int, x: list[int], cost: int) -> None:
+            nonlocal best_rank, best_x
+            if i == len(lattice):
+                rank = (cost, [-c for e in x for c in (max(e, 0), max(-e, 0))])
+                if best_rank is None or rank < best_rank:
+                    best_rank, best_x = rank, x
+                return
+            c, row = lattice[i]
+            piv, end = row[c], starts[i + 1]
+            for y in sorted(range(-((x[c] - lo[c]) // piv), (hi[c] - x[c]) // piv + 1),
+                            key=lambda y: abs(x[c] + y * piv)):
+                z = [a + y * b for a, b in zip(x, row)]
+                if all(lo[j] <= z[j] <= hi[j] for j in range(c + 1, end)):
+                    z_cost = cost + sum(abs(z[j]) for j in range(c, end))
+                    if best_rank is None or z_cost <= best_rank[0]:
+                        search(i + 1, z, z_cost)
+
+        x0 = self._exponents(key)
+        search(0, x0, sum(map(abs, x0[:starts[0]])))
+        return best_x
 
 
 class FreeOracle(BaseGroupOracle):
@@ -404,8 +565,11 @@ class FreeOracle(BaseGroupOracle):
     def word_of_key(self, key) -> Word:
         return Word(self.alphabet, key)
 
-    def geodesic_length_exact(self, key) -> Optional[int]:
+    def geodesic_length_exact(self, key) -> int:
         return len(key)
+
+    def geodesic_word(self, key) -> Word:
+        return Word(self.alphabet, key)
 
 
 def abelian_from_presentation(generators: Sequence[str], relators: Sequence[Word | str]) -> AbelianOracle:
@@ -423,21 +587,6 @@ def free_oracle(generators: Sequence[str]) -> FreeOracle:
     return FreeOracle(Alphabet.make(list(generators)))
 
 
-def base_geodesic_length(oracle: BaseGroupOracle, w: Word,
-                         ball: Optional[BallIndex] = None) -> int:
-    """Word-metric length of the element of w in the base Cayley graph.
-
-    Oracles without an exact length read it off the ball over this oracle,
-    which is extended as far as the element needs.
-    """
-    if ball is not None and ball.oracle is not oracle:
-        raise ValueError("the ball is over a different oracle")
-    key = oracle.evaluate(w)
-    exact = oracle.geodesic_length_exact(key)
-    if exact is not None:
-        return exact
-    if ball is None:
-        raise ValueError("this oracle needs a ball for geodesic lengths")
-    from .cayley import locate
-
-    return ball.distance_of(locate(ball, key))
+def base_geodesic_length(oracle: BaseGroupOracle, w: Word) -> int:
+    """Word-metric length of the element of w in the base Cayley graph."""
+    return oracle.geodesic_length_exact(oracle.evaluate(w))

@@ -11,8 +11,8 @@ Codes come from a key table the ball gets from its oracle and owns
 (oracle.key_table()).  A base oracle's table (base_groups.OracleKeys) is
 trivial: codes are its keys.  An HnnSpec's table (hnn.HnnKeyTable) interns
 base segments and key prefixes, so a code is one int and a BFS step is a
-memo lookup instead of a fold.  Canonical keys go in and out through the table: id_of, `in` and
-locate encode a key, and BallIndex.key(eid) decodes one; a key with a part
+memo lookup instead of a fold.  Canonical keys go in and out through the table: id_of and `in`
+encode a key, and BallIndex.key(eid) decodes one; a key with a part
 the table never interned is not in the ball.
 
 The layout is flat, so an element costs no Python object of its own.
@@ -40,7 +40,7 @@ found so far; a code in neither is new.  Each sphere moves the first dict
 on by one (S(d - 1) out, the second dict in).  On the last sphere the first
 dict is dropped before the codes are appended and the second before the
 links are built.  So the ball keeps no code -> id map while it grows.
-Lookups by key (id_of, `in`, locate, and the boundary rows of ball_edges)
+Lookups by key (id_of, `in`, and the boundary rows of ball_edges)
 read one index over all codes, built on the first lookup (one int object
 per code, as well as the dict) and kept current by every later extension;
 a ball never queried by key never holds one.
@@ -330,17 +330,6 @@ def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
                     letter[k] = lid
 
 
-def locate(ball: BallIndex, key) -> int:
-    """Id of the key, extending the ball one sphere at a time until it is in."""
-    while True:
-        eid = ball._find(key)
-        if eid is not None:
-            return eid
-        if ball.sphere_sizes[-1] == 0:
-            raise ValueError(f"key {key!r} is not an element of this group")
-        extend_ball(ball, ball.radius + 1)
-
-
 def distance(ball: BallIndex, x_key, y_key) -> int:
     """Word-metric distance between two elements given by canonical keys."""
     oracle = ball.oracle
@@ -355,7 +344,11 @@ def is_geodesic(ball: BallIndex, w: Word) -> bool:
 
 def geodesics_of(ball: BallIndex, key) -> list[Word]:
     """Every geodesic word for the element, in shortlex order."""
-    eid = ball.id_of(key)
+    return _geodesics(ball, ball.id_of(key))
+
+
+def _geodesics(ball: BallIndex, eid: int) -> list[Word]:
+    """Every geodesic word of the element with this id, in shortlex order."""
     start, src, letter = ball.link_start, ball.link_src, ball.link_letter
     ancestors = {eid}
     stack = [eid]

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .cayley import BallCapError, OutOfBallError, build_ball, export_ball, locate
+from .cayley import BallCapError, OutOfBallError, build_ball, export_ball
 from .convexity import (ac_bound, ac_profile, check_fftp_arguments, fftp_radius,
                          fftp_search, verify_parallel_signatures)
 from .hnn import HnnSpec, normal_form, verify_isometric
@@ -131,30 +131,22 @@ def cmd_normalize(args) -> int:
     word = parse_word(group.alphabet, args.word)
     if isinstance(group, HnnSpec):
         nf = normal_form(group, word)
-        base_ball = build_ball(group.base, 0)
+        base = group.base
         stable = [group.alphabet.letter_str(group.stable_letter_id(*m)) for m in nf.stable_markers]
         parts = []
         for pos, part in enumerate(nf.key):
             if pos % 2 == 0:
-                if not group.base.is_identity(part):
-                    parts.append(_geodesic_base_word(base_ball, part))
+                if not base.is_identity(part):
+                    parts.append(format_word(base.geodesic_word(part)))
             else:
                 parts.append(stable[pos // 2])
         body = ("".join(parts) + "\n" + f"signature: {' '.join(stable)}\n"
                 + f"key: {group.key_str(nf.key)}\n")
     else:
         key = group.evaluate(word)
-        body = format_word(group.word_of_key(key)) + "\n" + f"key: {group.key_str(key)}\n"
+        body = format_word(group.geodesic_word(key)) + "\n" + f"key: {group.key_str(key)}\n"
     _emit(args, body.encode())
     return 0
-
-
-def _geodesic_base_word(base_ball, base_key) -> str:
-    """Shortlex geodesic spelling of a base element, grown into the base ball."""
-    base = base_ball.oracle
-    if base.geodesic_length_exact(base_key) is not None:
-        return format_word(base.word_of_key(base_key))
-    return base_ball.label(locate(base_ball, base_key))
 
 
 def cmd_ball(args) -> int:

@@ -12,7 +12,7 @@ lie on S(N+1) and are read off predecessor links.  Every path is walked
 again, and the map is dropped once g is done, so nothing is kept per pair.
 Ball ids are assigned in BFS order, so with hi the end of S(N)'s id range,
 x is in B(N) iff x < hi and h > g is on S(N) iff g < h < hi: the profiler
-reads no distance and allocates nothing per element.
+reads no distance and creates no object per element.
 
 The FFTP searcher works in relative coordinates: while scanning a word w and
 a candidate companion v in lockstep, the only thing that matters is the
@@ -655,7 +655,7 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
     signature of the outer sphere S(r) is ever read, so none is stored, and
     only its elements with two or more links are visited: a single link has
     nothing to disagree with.  They are picked from link_start by iterators,
-    not slices, so the pass allocates nothing per outer element.
+    not slices, so the pass creates no object per outer element.
     """
     nb = spec.n_base_letters
     n_letters = ball.oracle.alphabet.n_letters

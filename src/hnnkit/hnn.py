@@ -37,7 +37,7 @@ import threading
 from array import array
 from typing import NamedTuple, Optional, Sequence
 
-from .base_groups import BaseGroupOracle
+from .base_groups import BaseGroupOracle, base_geodesic_length
 from .subgroups import SubgroupOracle, SubgroupWord
 from .words import Alphabet, Word, free_reduce, format_word
 
@@ -628,18 +628,18 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                      mem_cap: Optional[int] = None) -> IsometricReport:
     """Check strip equidistance and, up to max_len, the (totally) geodesic conditions.
 
-    All three are read off one base ball B(max_len), built once.  Strip
-    equidistance compares the base lengths of paired generator words, so the
-    ball must hold every generator.  Then one pass over the ball rewrites
-    each element over each subgroup's generator words.  The words are a free
-    basis, so a member has one reduced rewrite: if its literal expansion is
-    at most max_len long it must be a geodesic (the geodesic condition), and
-    every geodesic word of the member, enumerated from the ball's predecessor
-    links, must split into generator words and their inverses (the totally
-    geodesic condition).  A cap hit while building the ball leaves every
-    condition unknown and marks the report incomplete.
+    Strip equidistance compares the exact base lengths of paired generator
+    words.  The other two are read off one base ball B(max_len), built once:
+    one pass over the ball rewrites each element over each subgroup's
+    generator words.  The words are a free basis, so a member has one
+    reduced rewrite: if its literal expansion is at most max_len long it
+    must be a geodesic (the geodesic condition), and every geodesic word of
+    the member, enumerated from the ball's predecessor links, must split
+    into generator words and their inverses (the totally geodesic
+    condition).  A cap hit while building the ball leaves every condition
+    unknown and marks the report incomplete.
     """
-    from .cayley import BallCapError, build_ball, geodesics_of
+    from .cayley import BallCapError, _geodesics, build_ball
 
     base = spec.base
     strip, geo, total = ConditionReport(True), ConditionReport(True), ConditionReport(True)
@@ -648,16 +648,10 @@ def verify_isometric(spec: HnnSpec, max_len: int,
     except BallCapError:
         return IsometricReport(strip, geo, total, max_len, incomplete=True)
 
-    def length(w: Word) -> int:
-        key = base.evaluate(w)
-        if key not in ball:
-            raise ValueError("max_len must be at least the longest generator word")
-        return ball.distance_of_key(key)
-
     subs = []
     for i, pair in enumerate(spec.pairs):
         for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
-            lu, lv = length(uw), length(vw)
+            lu, lv = base_geodesic_length(base, uw), base_geodesic_length(base, vw)
             if lu != lv:
                 strip.fail(f"pair {i} generator {j}: |{format_word(uw)}|={lu} "
                            f"!= |{format_word(vw)}|={lv}")
@@ -677,7 +671,7 @@ def verify_isometric(spec: HnnSpec, max_len: int,
                 if d < len(expansion) <= max_len:
                     geo.fail(f"{where}: expansion {format_word(expansion)} "
                              f"has length {d} < {len(expansion)}")
-                for geod in geodesics_of(ball, key):
+                for geod in _geodesics(ball, eid):
                     if not _parses_in_language(geod.ids, blocks):
                         total.fail(f"{where}: geodesic {format_word(geod)} of "
                                    f"{base.key_str(key)} is outside the generator language")

@@ -1,5 +1,6 @@
 import pytest
 
+import hnnkit.cayley
 from hnnkit.cayley import build_ball
 from hnnkit.presets import preset
 
@@ -27,6 +28,16 @@ def z2_ab():
 @pytest.fixture(scope="session")
 def f2():
     return preset("f2")
+
+
+@pytest.fixture
+def no_balls(monkeypatch):
+    """Make building any ball, through build_ball or BallIndex, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball was built")
+
+    monkeypatch.setattr(hnnkit.cayley, "build_ball", refuse)
+    monkeypatch.setattr(hnnkit.cayley.BallIndex, "__init__", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_z2_abcd_ball
 from hnnkit.base_groups import (
@@ -8,8 +10,9 @@ from hnnkit.base_groups import (
     base_geodesic_length,
     free_oracle,
 )
-from hnnkit.cayley import BallCapError, build_ball, locate
-from hnnkit.words import Word, invert, parse_word
+from hnnkit.cayley import build_ball
+from hnnkit.presets import preset
+from hnnkit.words import Word, format_word, invert, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +20,9 @@ def wise_base():
     return abelian_from_presentation(["a", "b", "c", "d"], ["c'ab", "c'ba", "d'cc"])
 
 
-@pytest.fixture(scope="module")
-def wise_cache(wise_base):
-    # grown on demand by the length lookups
-    return build_ball(wise_base, 0)
+def z_times_z2():
+    """Z x Z/2 with a redundant generator: a of order 2, b, and c = ab."""
+    return abelian_from_presentation(["a", "b", "c"], ["aa", "c'ab"])
 
 
 def test_wise_base_structure(wise_base):
@@ -78,22 +80,24 @@ def test_free_oracle_examples():
     assert f2.is_identity(f2.evaluate(p("aa'")))
     assert f2.key_str(f2.mult_key(f2.evaluate(p("ab")), f2.evaluate(p("b'a")))) == "aa"
     assert base_geodesic_length(f2, p("abab")) == 4
+    key = f2.evaluate(p("ab'a"))
+    assert f2.geodesic_length_exact(key) == 3 and f2.geodesic_word(key) == p("ab'a")
 
 
-def test_base_geodesic_length_examples(wise_base, wise_cache):
+def test_base_geodesic_length_examples(wise_base):
     z2 = wise_base
     p = lambda s: parse_word(z2.alphabet, s)
-    assert base_geodesic_length(z2, p("d"), wise_cache) == 1
+    assert base_geodesic_length(z2, p("d")) == 1
     # derived: brute-force BFS over Z^2 with the four generator vectors
     naive = naive_z2_abcd_ball(6)
     assert naive[(2, 2)] == 1
-    assert base_geodesic_length(z2, p("aabb"), wise_cache) == 1
+    assert base_geodesic_length(z2, p("aabb")) == 1
     for k in range(1, 7):
         assert naive[(k, 0)] == k
-        assert base_geodesic_length(z2, p("a" * k), wise_cache) == k
+        assert base_geodesic_length(z2, p("a" * k)) == k
 
 
-def test_geodesic_length_matches_naive_ball(wise_base, wise_cache):
+def test_geodesic_length_matches_naive_ball(wise_base):
     # engine distances against the independent vector BFS, radius 5
     z2 = wise_base
     naive = naive_z2_abcd_ball(5)
@@ -102,10 +106,10 @@ def test_geodesic_length_matches_naive_ball(wise_base, wise_cache):
         if d > 4:
             continue
         text = ("a" if x >= 0 else "a'") * abs(x) + ("b" if y >= 0 else "b'") * abs(y)
-        assert base_geodesic_length(z2, p(text), wise_cache) == d
+        assert base_geodesic_length(z2, p(text)) == d
 
 
-def test_length_symmetry_and_triangle(wise_base, wise_cache):
+def test_length_symmetry_and_triangle(wise_base):
     z2 = wise_base
     rng = random.Random(5)
     words = []
@@ -113,46 +117,95 @@ def test_length_symmetry_and_triangle(wise_base, wise_cache):
         ids = tuple(rng.randrange(z2.alphabet.n_letters) for _ in range(rng.randint(0, 4)))
         words.append(Word(z2.alphabet, ids))
     for w in words:
-        assert base_geodesic_length(z2, w, wise_cache) == base_geodesic_length(
-            z2, invert(w), wise_cache
-        )
+        assert base_geodesic_length(z2, w) == base_geodesic_length(z2, invert(w))
     for u in words[:20]:
         for v in words[:20]:
-            lu = base_geodesic_length(z2, u, wise_cache)
-            lv = base_geodesic_length(z2, v, wise_cache)
-            luv = base_geodesic_length(z2, u * v, wise_cache)
+            lu = base_geodesic_length(z2, u)
+            lv = base_geodesic_length(z2, v)
+            luv = base_geodesic_length(z2, u * v)
             assert abs(luv - lu) <= lv
 
 
-def test_geodesic_length_rejects_a_ball_over_another_oracle(z2_ab, z2_abcd):
-    """A ball over Z^2 with the extra generators c = ab and d = c^2 would
-    give aab length 2 and aabb length 3, not 3 and 4."""
-    p = lambda s: parse_word(z2_ab.alphabet, s)
-    foreign = build_ball(z2_abcd, 0)
-    for text in ("aab", "aabb"):
-        with pytest.raises(ValueError, match="different oracle"):
-            base_geodesic_length(z2_ab, p(text), foreign)
-    own = build_ball(z2_ab, 0)
-    assert [base_geodesic_length(z2_ab, p(t), own) for t in ("aab", "aabb")] == [3, 4]
+def test_geodesic_length_depends_on_the_generators(z2_ab, z2_abcd):
+    """Over Z^2 with the extra generators c = ab and d = c^2, aab has
+    length 2 and aabb length 1; over a and b alone, 3 and 4."""
+    lengths = [[base_geodesic_length(g, parse_word(g.alphabet, t)) for t in ("aab", "aabb")]
+               for g in (z2_ab, z2_abcd)]
+    assert lengths == [[3, 4], [2, 1]]
 
 
-def test_radius_cap_error():
+def test_length_of_a_long_word_builds_no_ball(no_balls):
     z2 = abelian_from_presentation(["a", "b"], [])
-    ball = build_ball(z2, 0, mem_cap=20)
-    with pytest.raises(BallCapError) as err:
-        base_geodesic_length(z2, parse_word(z2.alphabet, "a" * 50), ball)
-    assert err.value.cap_elements == 20
-    # the lookup stops at the last complete sphere, which stays usable
-    assert len(ball) == sum(ball.sphere_sizes) <= 20
-    assert base_geodesic_length(z2, parse_word(z2.alphabet, "ab"), ball) == 2
+    assert base_geodesic_length(z2, parse_word(z2.alphabet, "a" * 50)) == 50
+    assert base_geodesic_length(z2, parse_word(z2.alphabet, "ab")) == 2
+    wise_base = preset("wise").base
+    key = wise_base.evaluate(parse_word(wise_base.alphabet, "ab" * 5000))
+    assert wise_base.geodesic_length_exact(key) == 2500
+    assert format_word(wise_base.geodesic_word(key)) == "d" * 2500
 
 
 def test_length_lookup_in_finite_group():
     z6 = abelian_from_presentation(["a"], ["aaaaaa"])
-    ball = build_ball(z6, 0)
-    assert base_geodesic_length(z6, parse_word(z6.alphabet, "aaaa"), ball) == 2
-    assert ball.radius == 2
-    # a key that is no element: the BFS exhausts the group, then gives up
-    with pytest.raises(ValueError, match="not an element"):
-        locate(ball, (7,))
-    assert ball.sphere_sizes == [1, 2, 2, 1, 0]
+    assert base_geodesic_length(z6, parse_word(z6.alphabet, "aaaa")) == 2
+
+
+@pytest.mark.parametrize("group,radius", [
+    pytest.param(lambda: preset("z2_abcd"), 12, id="z2_abcd"),
+    pytest.param(lambda: preset("wise").base, 12, id="wise-base"),
+    pytest.param(z_times_z2, 60, id="z-times-z2"),
+])
+def test_norm_and_geodesic_word_match_the_ball(group, radius):
+    """The exact norm is the ball distance and geodesic_word the ball's label
+    (the shortlex least geodesic), on every element of the ball.  Each radius
+    makes a sweep of about a second."""
+    g = group()
+    ball = build_ball(g, radius)
+    for eid in range(len(ball)):
+        key = ball.key(eid)
+        assert g.geodesic_length_exact(key) == ball.distance_of(eid)
+        assert format_word(g.geodesic_word(key)) == ball.label(eid)
+
+
+def _words(group, max_len=40):
+    return st.lists(st.integers(0, group.alphabet.n_letters - 1), max_size=max_len).map(
+        lambda ids: Word(group.alphabet, tuple(ids)))
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(lambda: preset("z2_abcd"), id="z2_abcd"),
+    pytest.param(z_times_z2, id="z-times-z2"),
+])
+def test_norm_is_a_word_metric(group):
+    """|v x| - |v| is -1, 0 or 1 for every letter x, and |v^-1| = |v|."""
+    g = group()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_words(g))
+    def check(w):
+        key = g.evaluate(w)
+        n = g.geodesic_length_exact(key)
+        assert n <= len(w)
+        assert g.geodesic_length_exact(g.inv_key(key)) == n
+        for lid in range(g.alphabet.n_letters):
+            assert g.geodesic_length_exact(g.apply_letter(key, lid)) - n in (-1, 0, 1)
+
+    check()
+
+
+@st.composite
+def presentations(draw):
+    gens = ["a", "b", "c", "d"][:draw(st.integers(1, 3))]
+    letters = gens + [g + "'" for g in gens]
+    relators = draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=6)
+                             .map("".join), max_size=3))
+    return abelian_from_presentation(gens, relators)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(presentations())
+def test_norm_matches_the_ball_on_random_presentations(g):
+    ball = build_ball(g, 4)
+    for eid in range(len(ball)):
+        key = ball.key(eid)
+        assert g.geodesic_length_exact(key) == ball.distance_of(eid)
+        assert format_word(g.geodesic_word(key)) == ball.label(eid)

@@ -17,7 +17,6 @@ from hnnkit.cayley import (
     extend_ball,
     geodesics_of,
     is_geodesic,
-    locate,
 )
 from hnnkit.convexity import ac_profile, fftp_search
 from hnnkit.hnn import verify_isometric
@@ -381,7 +380,8 @@ def test_word_keys_one_sphere_in_and_one_out(name, request):
         with pytest.raises(OutOfBallError):
             ball.id_of(key)
     assert 5 not in ball and () not in ball
-    found = [locate(ball, key) for key in outside]
+    extend_ball(ball, 4)
+    found = [ball.id_of(key) for key in outside]
     assert ball.radius == 4
     assert [ball.key(eid) for eid in found] == outside
     assert all(ball.distance_of(eid) == 4 for eid in found)
@@ -469,8 +469,9 @@ def test_lookups_across_the_ball_lifecycle(name, request):
     check(capped)
     assert capped.id_of(partial) == ref.sphere(3).start
 
-    # locate grows the ball one sphere at a time, to the key's own sphere
-    assert locate(capped, outer[-1]) == ref.id_of(outer[-1])
+    # an extension to the key's own sphere finds it
+    extend_ball(capped, 7)
+    assert capped.id_of(outer[-1]) == ref.id_of(outer[-1])
     assert capped.radius == 7
 
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from hnnkit.cayley import build_ball
 from hnnkit.cli import main
 from hnnkit.hnn import normal_form
+from hnnkit.presets import preset
 from hnnkit.specfile import load_spec_text
 from hnnkit.words import parse_word
 
@@ -79,6 +81,44 @@ def test_normalize_brackets_stable_names_on_every_line(capsys, tmp_path):
     rc, out, _ = run(capsys, "normalize", "--spec", str(spec_path), "[t1]'[x1][t1][t1]'y[t1]")
     assert rc == 0
     assert out.splitlines()[1:] == ["signature: [t1]' [t1]", "key: 0,0|[t1]'|0,1|[t1]|0,1"]
+
+
+TORSION = """
+base {
+  kind = abelian
+  generators = a b c
+  relator aa
+  relator c = ab
+}
+"""
+
+
+@pytest.mark.parametrize("source", ["z2_abcd", TORSION], ids=["z2_abcd", "torsion"])
+def test_normalize_prints_the_shortlex_least_geodesic(source, capsys, tmp_path):
+    """Over a plain abelian base, the first line is the ball's label of the element."""
+    if source == "z2_abcd":
+        group, where = preset(source), ["--preset", source]
+    else:
+        (tmp_path / "torsion.hnn").write_text(source)
+        group, where = load_spec_text(source), ["--spec", str(tmp_path / "torsion.hnn")]
+    ball = build_ball(group, 4)
+    for eid in range(len(ball)):
+        rc, out, _ = run(capsys, "normalize", *where, ball.label(eid) or "")
+        assert rc == 0
+        assert out.splitlines()[0] == ball.label(eid)
+    # words that are not geodesics, over the base alone and inside wise
+    for text, printed in (("dd", "dd"), ("aabb", "d"), ("ab'", "ab'")):
+        for name in ("z2_abcd", "wise"):
+            assert run(capsys, "normalize", "--preset", name, text)[1].splitlines()[0] == printed
+
+
+def test_normalize_builds_no_ball(capsys, no_balls):
+    rc, out, _ = run(capsys, "normalize", "--preset", "wise", "a" * 2000)
+    assert rc == 0
+    assert out.splitlines()[0] == "a" * 2000
+    rc, out, _ = run(capsys, "normalize", "--preset", "wise", "s'" + "a" * 2000 + "sb")
+    assert rc == 0
+    assert out.splitlines()[0] == "b" + "d" * 2000
 
 
 def test_normalize_parse_error(capsys):

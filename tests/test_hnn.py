@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hnnkit.cayley
 from hnnkit import hnn
 from hnnkit.base_groups import abelian_from_presentation
 from hnnkit.hnn import (
@@ -277,6 +278,21 @@ stable s {
   v = [c]
 }
 """
+
+
+def test_verify_isometric_builds_no_code_index(g2, monkeypatch):
+    """Strip lengths are exact and geodesics are walked from the element's
+    id, so the base ball is never looked up by key."""
+    balls = []
+    real = hnnkit.cayley.build_ball
+
+    def kept(*args, **kwargs):
+        balls.append(real(*args, **kwargs))
+        return balls[-1]
+
+    monkeypatch.setattr(hnnkit.cayley, "build_ball", kept)
+    assert verify_isometric(g2, 6).passed
+    assert len(balls) == 1 and balls[0]._index is None
 
 
 def test_verify_isometric_incomplete_under_small_cap(wise):

@@ -10,10 +10,14 @@ geodesic enumeration a walk, not a search.
 Codes come from a key table the ball gets from its oracle and owns
 (oracle.key_table()).  A base oracle's table (base_groups.OracleKeys) is
 trivial: codes are its keys.  An HnnSpec's table (hnn.HnnKeyTable) interns
-base segments and key prefixes, so a code is one int and a BFS step is a
-memo lookup instead of a fold.  Canonical keys go in and out through the table: id_of and `in`
-encode a key, and BallIndex.key(eid) decodes one; a key with a part
-the table never interned is not in the ball.
+base segments, (coset representative, stable letter) pairs and key
+prefixes, so a code is one int of three fields (last segment, the pair
+before it, the prefix before that) and a BFS step is a memo lookup instead
+of a fold.  The table interns a prefix only for an element the BFS
+expands, so the outer sphere adds none.  Canonical keys go in and out
+through the table: id_of and `in` encode a key, and BallIndex.key(eid)
+decodes one; a key with a part the table never interned is not in the
+ball.
 
 The layout is flat, so an element costs no Python object of its own.
 Codes are one container from the key table (an array("q") of HnnKeyTable

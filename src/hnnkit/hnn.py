@@ -27,8 +27,12 @@ crossed subgroup exactly when r is segment 0, the identity, and then the
 image is what the pinch carries across.  The word fold owns one bounded
 table per spec, whose segment ids its states hold, and replaces it with a
 fresh one between calls once it is full.  Each Cayley ball's HnnKeyTable
-owns a table that is never replaced, and keeps key prefixes and all-letter
-rows on top of it.
+owns a table that is never replaced, and keeps all-letter rows on top of it.
+It codes an element as one int of three fields: its last segment id, a pair
+id for the coset representative and stable letter just before that segment,
+and the id of the key prefix before that pair.  A prefix is interned only
+when the ball expands an element, so the outer sphere of a ball, never
+expanded, interns none.
 """
 
 from __future__ import annotations
@@ -313,26 +317,50 @@ class HnnSpec(BaseGroupOracle):
         return HnnKeyTable(self)
 
 
-_PREFIX_BITS = 31  # prefix ids are stored in array("i")s
+# An element's code packs three fields into one int below 2 ** 63, so that the
+# codes fit an array("q"): segment id << 41 | pair id << 23 | prefix id
+_PREFIX_BITS, _PAIR_BITS, _SEGMENT_BITS = 23, 18, 22
+_PAIR_SHIFT = _PREFIX_BITS
+_SEGMENT_SHIFT = _PREFIX_BITS + _PAIR_BITS
 _PREFIX_MASK = (1 << _PREFIX_BITS) - 1
+_PAIR_MASK = (1 << _PAIR_BITS) - 1
+_SEGMENT_MASK = (1 << _SEGMENT_BITS) - 1
+_LOW_MASK = (1 << _SEGMENT_SHIFT) - 1  # the pair and prefix fields
 
 
 class HnnKeyTable:
     """Compact keys of the elements of one ball over an HnnSpec.
 
     The table belongs to the ball that made it, and so does its SegmentTable,
-    which is never replaced: the word functions never grow either.  Key
-    prefixes (a key without its last segment) are interned as prefix ids:
-    prefix 0 is empty, and every other one is a triple (parent prefix,
-    segment id, stable letter id) whose segment is the coset representative
-    a split left behind.  An element's code is segment id << 31 | prefix id;
-    the prefix id takes the low bits, which spread the codes over a dict's
-    slots.
+    which is never replaced: the word functions never grow either.  A key
+    g0, m1, g1, ..., mk, gk is coded in three fields: its last segment gk, the
+    pair (g(k-1), mk) just before it, and the prefix of everything before that
+    pair.  A pair is a coset representative that a split left behind and the
+    stable letter that crossed it, interned as a pair id; pair 0 is none, for
+    keys with no stable letter.  A prefix is a run of pairs, interned as a
+    prefix id: prefix 0 is empty, and every other one is (parent prefix, pair
+    id).  The code is segment id << 41 | pair id << 23 | prefix id; the prefix
+    id takes the low bits, which spread the codes over a dict's slots.
+
+    A prefix is interned only when row() expands an element, once per
+    element: the element's prefix followed by its pair becomes the prefix of
+    every element a stable letter pushes it to.  A pinch drops the element's
+    pair and reads the pair and prefix before it off prefix_pair and
+    prefix_parent.  So a ball interns one prefix per distinct key prefix of
+    its expanded elements, and its outer sphere adds none.
+
+    The fields hold 2 ** 22 segments, 2 ** 18 pairs and 2 ** 23 prefixes.
+    Per element, wise r7 and g2 r9 (1.5 M and 2.0 M elements) intern at most
+    0.049 prefixes, 0.0194 segments and 0.0065 pairs, and the share falls or
+    holds as the radius grows.  A ball at cayley.DEFAULT_MEM_CAP (2e7
+    elements) would so need about 1.0 M prefix ids, 0.39 M segment ids and
+    0.13 M pair ids: an eighth, a tenth and a half of the fields.  row()
+    raises an OverflowError before any field would overflow.
 
     A segment's moves are computed once, all letters at a time: per base
-    letter the next segment, per stable letter the split (r, image) and the
-    pinch image (the image if r is segment 0, else -1).  A BFS step is then
-    a memo lookup plus at most one prefix lookup.
+    letter the next segment, per stable letter the pushed code (image and
+    pair) and the pinch image (the image if r is segment 0, else -1).  A BFS
+    step is then a memo lookup plus at most one prefix lookup.
     """
 
     def __init__(self, spec: HnnSpec):
@@ -343,30 +371,44 @@ class HnnKeyTable:
         self.identity = 0
         self._segments = SegmentTable(spec)
         self._moves: list = []  # segment id -> (base moves, stable moves), or None
-        # prefix id -> parent prefix, segment id and stable letter id
-        self.prefix_parent, self.prefix_segment, self.prefix_letter = (
-            array("i", [0]), array("i", [0]), array("i", [-1]))
-        self._pushes: dict = {}  # (segment id, stable letter id) -> {parent: prefix id}
+        # pair id -> coset representative's segment id and stable letter id
+        self.pair_segment, self.pair_letter = array("i", [0]), array("i", [-1])
+        self._pairs: dict = {}  # (segment id, stable letter id) -> pair id
+        # prefix id -> parent prefix and last pair id
+        self.prefix_parent, self.prefix_pair = array("i", [0]), array("i", [0])
+        self._children: list = [None]  # pair id -> {parent prefix: prefix id}
+
+    def _pair(self, r: int, lid: int) -> int:
+        pair = self._pairs.get((r, lid))
+        if pair is None:
+            pair = self._pairs[r, lid] = len(self.pair_segment)
+            if pair > _PAIR_MASK:
+                raise OverflowError("more key pairs than a code can address")
+            self.pair_segment.append(r)
+            self.pair_letter.append(lid)
+            self._children.append({})
+        return pair
 
     def _fill_moves(self, sid: int) -> tuple:
         """The moves of a segment: base ones as shifted segment ids, stable ones as
-        (letter, r, pushes, shifted image, pinch), pushes mapping a parent prefix to
-        the prefix (parent, r, letter)."""
+        (letter, shifted image and pair, pinch)."""
         spec, segment = self.spec, self._segments.segment
         g = self._segments.keys[sid]
         apply_letter = spec.base.apply_letter
-        base_moves = tuple(segment(apply_letter(g, lid)) << _PREFIX_BITS
+        base_moves = tuple(segment(apply_letter(g, lid)) << _SEGMENT_SHIFT
                            for lid in range(spec.n_base_letters))
         stable_moves = []
         for lid, (sub, gen) in self._crossed.items():
             r, img = spec._split(g, lid)
-            # prefixes are interned by segment id, so a representative must be
+            # pairs are interned by segment id, so a representative must be
             # canonical: its own representative, and that of r times a generator
             if sub.coset_rep_left(r) != r or sub.coset_rep_left(spec.base.mult_key(r, gen)) != r:
                 raise AssertionError("coset representative is not canonical")
             r, img = segment(r), segment(img)
-            stable_moves.append((lid, r, self._pushes.setdefault((r, lid), {}),
-                                 img << _PREFIX_BITS, -1 if r else img))
+            stable_moves.append((lid, img << _SEGMENT_SHIFT | self._pair(r, lid) << _PAIR_SHIFT,
+                                 -1 if r else img))
+        if len(self._segments.keys) - 1 > _SEGMENT_MASK:
+            raise OverflowError("more key segments than a code can address")
         if sid >= len(self._moves):
             self._moves += [None] * (sid + 1 - len(self._moves))
         moves = self._moves[sid] = (base_moves, tuple(stable_moves))
@@ -374,36 +416,44 @@ class HnnKeyTable:
 
     def row(self, code: int) -> list[int]:
         """The codes of code * letter, for every letter in order."""
-        pid = code & _PREFIX_MASK
-        sid = code >> _PREFIX_BITS
+        sid = code >> _SEGMENT_SHIFT
         moves = self._moves
         base_moves, stable_moves = (sid < len(moves) and moves[sid]) or self._fill_moves(sid)
-        out = [s | pid for s in base_moves]
-        parent, g, last = self.prefix_parent[pid], self.prefix_segment[pid], self.prefix_letter[pid]
-        for lid, r, pushes, img, pinch in stable_moves:
-            if pinch >= 0 and last == lid ^ 1:
-                out.append(self._segments.product(g, pinch) << _PREFIX_BITS | parent)
-                continue
-            q = pushes.get(pid)
+        low = code & _LOW_MASK
+        out = [s | low for s in base_moves]
+        pair, pid = code >> _PAIR_SHIFT & _PAIR_MASK, code & _PREFIX_MASK
+        q, last = 0, -1  # with no pair, pushes keep the empty prefix and nothing pinches
+        if pair:
+            # the prefix of every pushed element: this element's prefix, then its pair
+            children = self._children[pair]
+            q = children.get(pid)
             if q is None:
-                q = pushes[pid] = len(self.prefix_parent)
+                q = children[pid] = len(self.prefix_parent)
                 if q > _PREFIX_MASK:
                     raise OverflowError("more key prefixes than a code can address")
                 self.prefix_parent.append(pid)
-                self.prefix_segment.append(r)
-                self.prefix_letter.append(lid)
-            out.append(img | q)
+                self.prefix_pair.append(pair)
+            last = self.pair_letter[pair]
+        for lid, push, pinch in stable_moves:
+            if pinch >= 0 and last == lid ^ 1:
+                s = self._segments.product(self.pair_segment[pair], pinch)
+                if s > _SEGMENT_MASK:
+                    raise OverflowError("more key segments than a code can address")
+                out.append(s << _SEGMENT_SHIFT | self.prefix_pair[pid] << _PAIR_SHIFT
+                           | self.prefix_parent[pid])
+            else:
+                out.append(push | q)
         return out
 
     def key(self, code: int) -> tuple:
         """The normal-form key of a code."""
-        segments = self._segments.keys
-        parts = [segments[code >> _PREFIX_BITS]]
-        pid = code & _PREFIX_MASK
-        while pid:
-            parts.append(self.spec._stable_markers[self.prefix_letter[pid]])
-            parts.append(segments[self.prefix_segment[pid]])
-            pid = self.prefix_parent[pid]
+        segments, markers = self._segments.keys, self.spec._stable_markers
+        parts = [segments[code >> _SEGMENT_SHIFT]]
+        pair, pid = code >> _PAIR_SHIFT & _PAIR_MASK, code & _PREFIX_MASK
+        while pair:
+            parts.append(markers[self.pair_letter[pair]])
+            parts.append(segments[self.pair_segment[pair]])
+            pair, pid = self.prefix_pair[pid], self.prefix_parent[pid]
         parts.reverse()
         return tuple(parts)
 
@@ -411,14 +461,18 @@ class HnnKeyTable:
         """The code of a normal-form key, or None if a part was never interned."""
         if not isinstance(key, tuple) or len(key) % 2 == 0:
             return None
-        segment_ids, pid = self._segments.ids, 0
+        segment_ids, letters = self._segments.ids, self.spec._stable_letters
+        pair = pid = 0
         for pos in range(1, len(key), 2):
-            lid = self.spec._stable_letters.get(key[pos])
-            pid = self._pushes.get((segment_ids.get(key[pos - 1]), lid), {}).get(pid)
-            if pid is None:
+            if pair:
+                pid = self._children[pair].get(pid)
+                if pid is None:
+                    return None
+            pair = self._pairs.get((segment_ids.get(key[pos - 1]), letters.get(key[pos])))
+            if pair is None:
                 return None
         sid = segment_ids.get(key[-1])
-        return None if sid is None else sid << _PREFIX_BITS | pid
+        return None if sid is None else sid << _SEGMENT_SHIFT | pair << _PAIR_SHIFT | pid
 
     def new_codes(self) -> array:
         """A ball's code container, holding the identity: codes as 64-bit ints."""
@@ -547,7 +601,10 @@ MAX_WITNESSES = 8  # witnesses kept per condition; witness_count counts them all
 
 
 class ConditionReport:
-    def __init__(self, passed: bool, witnesses: Optional[list] = None, witness_count: int = 0):
+    """One condition's outcome: passed is True or False, or None if it was not checked."""
+
+    def __init__(self, passed: Optional[bool], witnesses: Optional[list] = None,
+                 witness_count: int = 0):
         self.passed = passed
         self.witnesses = [] if witnesses is None else witnesses
         self.witness_count = witness_count
@@ -597,7 +654,7 @@ class IsometricReport:
             ("geodesic", self.geodesic),
             ("totally-geodesic", self.totally_geodesic),
         ):
-            status = "PASS" if cond.passed else "FAIL"
+            status = "UNKNOWN" if cond.passed is None else "PASS" if cond.passed else "FAIL"
             out.append(f"{label:18s} {status}")
             for wit in cond.witnesses:
                 out.append(f"  witness: {wit}")
@@ -629,25 +686,20 @@ def verify_isometric(spec: HnnSpec, max_len: int,
     """Check strip equidistance and, up to max_len, the (totally) geodesic conditions.
 
     Strip equidistance compares the exact base lengths of paired generator
-    words.  The other two are read off one base ball B(max_len), built once:
-    one pass over the ball rewrites each element over each subgroup's
-    generator words.  The words are a free basis, so a member has one
-    reduced rewrite: if its literal expansion is at most max_len long it
-    must be a geodesic (the geodesic condition), and every geodesic word of
-    the member, enumerated from the ball's predecessor links, must split
-    into generator words and their inverses (the totally geodesic
-    condition).  A cap hit while building the ball leaves every condition
-    unknown and marks the report incomplete.
+    words, and needs no ball.  The other two are read off one base ball
+    B(max_len), built once: one pass over the ball rewrites each element
+    over each subgroup's generator words.  The words are a free basis, so a
+    member has one reduced rewrite: if its literal expansion is at most
+    max_len long it must be a geodesic (the geodesic condition), and every
+    geodesic word of the member, enumerated from the ball's predecessor
+    links, must split into generator words and their inverses (the totally
+    geodesic condition).  A cap hit while building the ball leaves those two
+    conditions unknown (passed is None) and marks the report incomplete.
     """
     from .cayley import BallCapError, _geodesics, build_ball
 
     base = spec.base
-    strip, geo, total = ConditionReport(True), ConditionReport(True), ConditionReport(True)
-    try:
-        ball = build_ball(base, max(max_len, 0), mem_cap=mem_cap)
-    except BallCapError:
-        return IsometricReport(strip, geo, total, max_len, incomplete=True)
-
+    strip = ConditionReport(True)
     subs = []
     for i, pair in enumerate(spec.pairs):
         for j, (uw, vw) in enumerate(zip(pair.u.generator_words, pair.v.generator_words)):
@@ -659,7 +711,13 @@ def verify_isometric(spec: HnnSpec, max_len: int,
             blocks = [gw.ids for gw in sub.generator_words]
             blocks += [tuple(l ^ 1 for l in reversed(b)) for b in blocks]
             subs.append((f"pair {i} {side}", sub, blocks))
+    try:
+        ball = build_ball(base, max(max_len, 0), mem_cap=mem_cap)
+    except BallCapError:
+        return IsometricReport(strip, ConditionReport(None), ConditionReport(None), max_len,
+                               incomplete=True)
 
+    geo, total = ConditionReport(True), ConditionReport(True)
     for d in range(ball.radius + 1):
         for eid in ball.sphere(d):
             key = ball.key(eid)

@@ -406,11 +406,61 @@ def test_any_error_mid_sphere_drops_the_partial_rows(wise):
 
 
 def test_running_out_of_key_prefixes_raises(monkeypatch):
-    monkeypatch.setattr(hnn, "_PREFIX_MASK", 7)  # eight prefix ids; B(2) of wise needs 35
+    # eight prefix ids; B(2) of wise interns 5 and B(3) 35, one per key
+    # prefix of an element of B(2)
+    monkeypatch.setattr(hnn, "_PREFIX_MASK", 7)
+    wise = preset("wise")
+    assert len(build_ball(wise, 2)) == 99
+    with pytest.raises(OverflowError, match="more key prefixes than a code can address"):
+        build_ball(wise, 3)
+
+
+def test_running_out_of_key_pairs_raises(monkeypatch):
+    # eight pair ids; B(1) of wise interns 5 (with the empty pair) and B(2) 23
+    monkeypatch.setattr(hnn, "_PAIR_MASK", 7)
     wise = preset("wise")
     assert len(build_ball(wise, 1)) == 13
-    with pytest.raises(OverflowError, match="more key prefixes than a code can address"):
+    with pytest.raises(OverflowError, match="more key pairs than a code can address"):
         build_ball(wise, 2)
+
+
+def test_running_out_of_key_segments_raises(monkeypatch):
+    # sixteen segment ids; B(1) of wise interns 9 and B(2) 27
+    monkeypatch.setattr(hnn, "_SEGMENT_MASK", 15)
+    wise = preset("wise")
+    assert len(build_ball(wise, 1)) == 13
+    with pytest.raises(OverflowError, match="more key segments than a code can address"):
+        build_ball(wise, 2)
+
+
+def _prefix_parts(table, pid):
+    """The key parts of a prefix id: its pairs' segments and markers, in order."""
+    segments, markers = table._segments.keys, table.spec._stable_markers
+    parts = []
+    while pid:
+        pair = table.prefix_pair[pid]
+        parts += [markers[table.pair_letter[pair]], segments[table.pair_segment[pair]]]
+        pid = table.prefix_parent[pid]
+    return tuple(reversed(parts))
+
+
+@pytest.mark.parametrize("name,radius,prefixes", [
+    pytest.param("wise", 6, 10_375, id="wise-r6"),
+    pytest.param("g2", 7, 4_457, id="g2-r7"),
+])
+def test_ball_interns_the_prefixes_of_its_expanded_elements(name, radius, prefixes, request):
+    group = request.getfixturevalue(name)
+    ball = build_ball(group, radius)
+    table = ball.table
+    # one prefix per distinct key prefix (the key without its last segment) of
+    # an expanded element, the empty one included; the outer sphere adds none
+    expanded = {ball.key(eid)[:-1] for eid in range(ball.sphere(radius).start)}
+    assert len(table.prefix_parent) == len(table.prefix_pair) == len(expanded) == prefixes
+    assert {_prefix_parts(table, pid) for pid in range(prefixes)} == expanded
+    assert all(ball.id_of(ball.key(eid)) == eid for eid in range(len(ball)))
+    extended = build_ball(group, radius - 3)
+    extend_ball(extended, radius)
+    assert len(extended.table.prefix_parent) == prefixes
 
 
 @pytest.mark.parametrize("name", ["wise", "g2"])
@@ -475,11 +525,11 @@ def test_lookups_across_the_ball_lifecycle(name, request):
     assert capped.radius == 7
 
 
-@pytest.mark.parametrize("name,radius,elements", [
-    pytest.param("wise", 6, 222_087, id="wise-r6"),
-    pytest.param("g2", 7, 91_133, id="g2-r7"),
+@pytest.mark.parametrize("name,radius,elements,bound", [
+    pytest.param("wise", 6, 222_087, 45, id="wise-r6"),
+    pytest.param("g2", 7, 91_133, 65, id="g2-r7"),
 ])
-def test_ball_keeps_at_most_85_bytes_per_element(name, radius, elements):
+def test_ball_keeps_at_most_85_bytes_per_element(name, radius, elements, bound):
     group = preset(name)  # fresh, so the fold's memo tables are counted too
     tracemalloc.start()
     try:
@@ -489,9 +539,12 @@ def test_ball_keeps_at_most_85_bytes_per_element(name, radius, elements):
     finally:
         tracemalloc.stop()
     assert len(ball) == elements
-    # flat codes and rows keep about 61 B (wise) and 76 B (g2); code ints,
-    # row tuples and a dist array kept 150 B and 159 B
-    assert kept / len(ball) <= 85
+    # flat codes and rows, with key prefixes interned for expanded elements
+    # only, keep about 36 B (wise) and 58 B (g2); with a prefix for every
+    # element they kept 61 B and 76 B, and code ints, row tuples and a dist
+    # array 150 B and 159 B.  The bounds only get tighter, so the name keeps
+    # the first one.
+    assert kept / len(ball) <= bound
 
 
 def test_ball_build_peaks_at_most_165_bytes_per_element():
@@ -502,9 +555,10 @@ def test_ball_build_peaks_at_most_165_bytes_per_element():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak comes while S(7)'s dedup dict is alive: about 158 B per
-    # element, against 168 B with code ints and row tuples
-    assert peak / len(ball) <= 165
+    # the peak comes while S(7)'s dedup dict is alive: about 138 B per
+    # element, against 157 B with a key prefix for every element and 168 B
+    # with code ints and row tuples.  The name keeps the first bound.
+    assert peak / len(ball) <= 145
 
 
 BS12 = """base {

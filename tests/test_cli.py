@@ -272,6 +272,34 @@ def test_verify_isometric_obeys_mem_cap(capsys):
             assert "report INCOMPLETE" in out
 
 
+def test_verify_isometric_checks_strips_under_a_cap(capsys, tmp_path):
+    # BS(1,2): strip equidistance needs no ball, so a cap of 3 elements, which
+    # stops the base ball B(6), still finds |a| != |aa|; the two ball
+    # conditions were never checked and say so
+    spec_path = tmp_path / "bs12.hnn"
+    spec_path.write_text("base {\n  kind = abelian\n  generators = a\n}\n"
+                         "stable t {\n  u = [a]\n  v = [aa]\n}\n")
+    argv = ("verify-isometric", "--spec", str(spec_path), "--max-len", "6", "--mem-cap", "3")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 1
+    assert out.splitlines()[4:] == [
+        "strip-equidistant  FAIL",
+        "  witness: pair 0 generator 0: |a|=1 != |aa|=2",
+        "geodesic           UNKNOWN",
+        "totally-geodesic   UNKNOWN",
+        "report INCOMPLETE: ball cap exceeded",
+        "FAIL",
+    ]
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)["report"]
+    assert rc == 1 and report["incomplete"] and report["passed"] is False
+    assert report["strip_equidistant"] == {
+        "passed": False, "witness_count": 1,
+        "witnesses": ["pair 0 generator 0: |a|=1 != |aa|=2"]}
+    assert report["geodesic"]["passed"] is None
+    assert report["totally_geodesic"]["passed"] is None
+
+
 def test_fftp_obeys_mem_cap(capsys):
     # max-len 4 needs only 93 elements, but the k-cap 6 DP needs radius 8
     rc, _, err = run(capsys, "fftp", "--preset", "z2_abcd", "--max-len", "4",

@@ -299,6 +299,11 @@ def test_verify_isometric_incomplete_under_small_cap(wise):
     report = verify_isometric(wise, 6, mem_cap=30)
     assert report.incomplete
     assert not report.passed
+    # strip equidistance needs no ball; the two ball conditions are unknown
+    assert report.strip_equidistant.passed is True
+    assert report.geodesic.passed is None and report.totally_geodesic.passed is None
+    assert report.lines()[1:] == ["geodesic           UNKNOWN", "totally-geodesic   UNKNOWN",
+                                  "report INCOMPLETE: ball cap exceeded"]
 
 
 def test_verify_isometric_broken_fixture_witnesses():

@@ -104,7 +104,8 @@ class OracleKeys:
         self.oracle = oracle
         self.identity = oracle.identity_key()
 
-    def row(self, key) -> list:
+    def row(self, key, intern: bool = True) -> list:
+        """The keys of key * letter, for every letter in order; there is nothing to intern."""
         apply_letter = self.oracle.apply_letter
         return [apply_letter(key, lid) for lid in range(self.oracle.alphabet.n_letters)]
 

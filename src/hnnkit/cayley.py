@@ -14,7 +14,8 @@ base segments, (coset representative, stable letter) pairs and key
 prefixes, so a code is one int of three fields (last segment, the pair
 before it, the prefix before that) and a BFS step is a memo lookup instead
 of a fold.  The table interns a prefix only for an element the BFS
-expands, so the outer sphere adds none.  Canonical keys go in and out
+expands, so the outer sphere adds none, and ball_edges reads the outer
+sphere's rows without interning.  Canonical keys go in and out
 through the table: id_of and `in` encode a key, and BallIndex.key(eid)
 decodes one; a key with a part the table never interned is not in the
 ball.
@@ -26,24 +27,29 @@ expanded element (BallIndex.row), and the links compressed sparse rows,
 those of eid being (link_src[k], link_letter[k]) for k in
 range(link_start[eid], link_start[eid + 1]), in (source, letter) order.
 No distance is stored: it is the sphere whose id range holds the element
-(BallIndex.distance_of).  The BFS loop only assigns ids and appends rows.
-Once a sphere is complete, its codes are appended from the dict that
-assigned their ids (see below; a dict keeps insertion order, which is id
-order), so a sphere cut short leaves only rows to truncate.  Its links are
-then built from the rows of the sphere before by one stable counting sort
-on the target, whose cursors are the new tail of link_start itself.  The
-build makes no temporary the size of a sphere beyond the sort's counts and
-the zero bytes each link array grows by (bytes(n), read by frombytes).
+(BallIndex.distance_of).  The BFS loop only assigns ids and appends codes
+and rows, so a sphere cut short leaves codes and rows to truncate.  Once a
+sphere is complete its links are built from the rows of the sphere before:
+each new element has one link for the row entry that found it and one for
+every repeat, an entry that found it again, so its link count is 1 plus its
+repeats, and one pass over the rows in (element, letter) order places the
+links, with the new tail of link_start as cursors.  The build makes no
+temporary the size of a sphere beyond the repeats, the counts and the zero
+bytes each link array grows by (bytes(n), read by frombytes).
 
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
 neighbour of S(d) lies in S(d - 1), S(d) or S(d + 1).  While S(d) is
 expanded, two dicts therefore decide every code exactly: one from the codes
-of S(d - 1) and S(d) to their ids, and one for the elements of S(d + 1)
-found so far; a code in neither is new.  Each sphere moves the first dict
-on by one (S(d - 1) out, the second dict in).  On the last sphere the first
-dict is dropped before the codes are appended and the second before the
-links are built.  So the ball keeps no code -> id map while it grows.
+of S(d - 1) and S(d) to their ids, and one from the codes of S(d + 1) found
+so far to the first new id of the element that found them; a code in
+neither is new.  The second dict so holds one id object per expanded
+element, not one per element found.  An element's new codes get
+consecutive ids, so a repeat's id is found by scanning at most n_letters
+codes from that first id.  The second dict is dropped once its sphere is
+found, and each sphere moves the first dict on by one (S(d - 1) out,
+S(d + 1) in with its ids); on the last sphere it is dropped too, before
+the links are built.  So the ball keeps no code -> id map while it grows.
 Lookups by key (id_of, `in`, and the boundary rows of ball_edges)
 read one index over all codes, built on the first lookup (one int object
 per code, as well as the dict) and kept current by every later extension;
@@ -245,6 +251,7 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     row_of = ball.table.row
     mem_cap = ball.mem_cap
     codes = ball.codes
+    add_code, index = codes.append, codes.index
     add_row = ball.rows.fromlist  # a list's append is faster than an array's
     # S(d - 1) and S(d), then S(d + 1) as it is found: see the module docstring
     lo = len(codes) - sum(ball.sphere_sizes[-2:])
@@ -253,40 +260,50 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
         frontier = ball.sphere(d)
         n_before = len(codes)  # sphere d + 1 is the ids from here on
         prev_get = prev.get
-        nxt: dict = {}
-        nxt_setdefault = nxt.setdefault
+        nxt: dict = {}  # code -> the first new id of the element that found it
+        nxt_get = nxt.get
+        repeats = array("i")  # the ids in S(d + 1) found again, once per repeat
+        add_repeat = repeats.append
         n_codes = n_before
         try:
             for eid in frontier:
                 row = []
+                first = n_codes
                 for code in row_of(codes[eid]):
                     tid = prev_get(code)
                     if tid is None:
-                        tid = nxt_setdefault(code, n_codes)
-                        if tid == n_codes:
-                            if tid >= mem_cap:
+                        tid = nxt_get(code)
+                        if tid is None:
+                            if n_codes >= mem_cap:
                                 raise BallCapError(mem_cap, d)
+                            nxt[code] = first
+                            add_code(code)
+                            tid = n_codes
                             n_codes += 1
+                        else:
+                            # an element's new codes have consecutive ids
+                            tid = index(code, tid)
+                            add_repeat(tid)
                     row.append(tid)
                 add_row(row)
-        except BaseException:  # the cap's error or any other: drop the partial rows
+        except BaseException:  # the cap's error or any other: drop the partial sphere
+            del codes[n_before:]
             del ball.rows[frontier.start * ball.n_letters:]
             raise
+        nxt = nxt_get = None
         if d + 1 < radius:
             # on to S(d) and S(d + 1)
             for code in codes[lo:frontier.start]:
                 del prev[code]
-            prev.update(nxt)
+            prev.update(zip(codes[n_before:], range(n_before, n_codes)))
             lo = frontier.start
         else:
-            # the codes and the link build below are the build's peaks: free S(d - 1) and S(d)
+            # free S(d - 1) and S(d) before the link build
             prev = prev_get = None
-        codes.extend(nxt)  # insertion order is id order
         if ball._index is not None:
-            ball._index.update(nxt)
-        nxt = nxt_setdefault = None
-        n_new = len(codes) - n_before
-        _append_links(ball, frontier, n_before)
+            ball._index.update(zip(codes[n_before:], range(n_before, n_codes)))
+        n_new = n_codes - n_before
+        _append_links(ball, frontier, n_before, repeats)
         ball._starts.append(n_before)
         ball.sphere_sizes.append(n_new)
         ball.radius = d + 1
@@ -300,30 +317,30 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
     ball.radius = radius
 
 
-def _append_links(ball: BallIndex, frontier: range, base: int) -> None:
+def _append_links(ball: BallIndex, frontier: range, base: int, repeats: array) -> None:
     """Add the links of the new sphere, ids base on, from the frontier's rows.
 
-    One stable counting sort on the target: the rows are scanned in
-    (element, letter) order, so each element's links keep that order.  The
-    new tail of link_start holds the cursors: start[t + 1] begins at t's
-    first slot and, once t's links are placed, ends one past its last,
-    which is where t + 1's begin.
+    An element of the new sphere has one link for the row entry that found
+    it and one for each of its repeats, the entries that found it again.  The
+    links are placed by one pass over the rows in (element, letter) order,
+    so each element's links keep that order.  The new tail of link_start
+    holds the cursors: start[t + 1] begins at t's first slot and, once t's
+    links are placed, ends one past its last, which is where t + 1's begin.
     """
     n_new = len(ball.codes) - base
     if not n_new:
         return
+    counts = array("i", [1]) * n_new
+    for t in repeats:
+        counts[t - base] += 1
+    start, src, letter = ball.link_start, ball.link_src, ball.link_letter
+    start.extend(islice(accumulate(counts, initial=start[-1]), n_new))
+    counts = None  # before the link arrays grow: the build's last peak
+    n_links = n_new + len(repeats)
+    src.frombytes(bytes(src.itemsize * n_links))
+    letter.frombytes(bytes(letter.itemsize * n_links))
     n = ball.n_letters
     with memoryview(ball.rows)[frontier.start * n:frontier.stop * n] as rows:
-        counts = array("i", [0]) * n_new
-        for t in rows:
-            if t >= base:
-                counts[t - base] += 1
-        start, src, letter = ball.link_start, ball.link_src, ball.link_letter
-        start.extend(islice(accumulate(counts, initial=start[-1]), n_new))
-        n_links = sum(counts)
-        counts = None  # before the link arrays grow: the build's last peak
-        src.frombytes(bytes(src.itemsize * n_links))
-        letter.frombytes(bytes(letter.itemsize * n_links))
         for eid, row in zip(frontier, zip(*[iter(rows)] * n)):  # n entries at a time
             for lid, t in enumerate(row):
                 if t >= base:
@@ -409,10 +426,12 @@ def ball_edges(ball: BallIndex) -> Iterator[tuple[int, int, int]]:
     """Every directed edge of the subgraph induced on the ball.
 
     Rows of expanded elements are stored; boundary elements get their rows
-    from the key table, filtered to in-ball targets.
+    from the key table, which interns nothing for them, filtered to in-ball
+    targets.
     """
+    boundary_row = ball.table.row
     for eid in range(len(ball)):
-        row = ball.row(eid) or map(ball._ids().get, ball.table.row(ball.codes[eid]))
+        row = ball.row(eid) or map(ball._ids().get, boundary_row(ball.codes[eid], intern=False))
         for lid, tid in enumerate(row):
             if tid is not None:
                 yield eid, lid, tid

@@ -347,7 +347,8 @@ class HnnKeyTable:
     every element a stable letter pushes it to.  A pinch drops the element's
     pair and reads the pair and prefix before it off prefix_pair and
     prefix_parent.  So a ball interns one prefix per distinct key prefix of
-    its expanded elements, and its outer sphere adds none.
+    its expanded elements, and its outer sphere adds none: its rows, which
+    only cayley.ball_edges reads, come from row(code, intern=False).
 
     The fields hold 2 ** 22 segments, 2 ** 18 pairs and 2 ** 23 prefixes.
     Per element, wise r7 and g2 r9 (1.5 M and 2.0 M elements) intern at most
@@ -414,8 +415,13 @@ class HnnKeyTable:
         moves = self._moves[sid] = (base_moves, tuple(stable_moves))
         return moves
 
-    def row(self, code: int) -> list[int]:
-        """The codes of code * letter, for every letter in order."""
+    def row(self, code: int, intern: bool = True) -> list:
+        """The codes of code * letter, for every letter in order.
+
+        With intern False the table interns nothing, for an element that is
+        not expanded: a push whose prefix was never interned leaves the
+        ball, and its entry is None.
+        """
         sid = code >> _SEGMENT_SHIFT
         moves = self._moves
         base_moves, stable_moves = (sid < len(moves) and moves[sid]) or self._fill_moves(sid)
@@ -427,7 +433,7 @@ class HnnKeyTable:
             # the prefix of every pushed element: this element's prefix, then its pair
             children = self._children[pair]
             q = children.get(pid)
-            if q is None:
+            if q is None and intern:
                 q = children[pid] = len(self.prefix_parent)
                 if q > _PREFIX_MASK:
                     raise OverflowError("more key prefixes than a code can address")
@@ -442,7 +448,7 @@ class HnnKeyTable:
                 out.append(s << _SEGMENT_SHIFT | self.prefix_pair[pid] << _PAIR_SHIFT
                            | self.prefix_parent[pid])
             else:
-                out.append(push | q)
+                out.append(None if q is None else push | q)
         return out
 
     def key(self, code: int) -> tuple:

@@ -31,16 +31,21 @@ theorems in integer linear programming, Math. Programming 34, 1986),
 every integer optimum lies within N * Delta of some LP optimum in every
 coordinate, where N = 2 * n_gens + n_moduli is the number of variables
 and Delta the largest absolute subdeterminant of the constraint matrix.
-So every integer optimum lies in that window around the bounding box of
-the optimal basic solutions, and enumerating the coset of the relator
-lattice inside it finds all of them.  Letters commute, so the shortlex
-least geodesic is the sorted word of the optimum with the most of the least
-letter, then of the next, and so on.  All of it is integer arithmetic.
+Any larger Delta keeps the bound, so Delta is taken as Hadamard's bound on
+every subdeterminant, the product of the norms of the largest nonzero
+columns (at most as many as the matrix has rows), with no determinant
+computed.  So every integer optimum lies in that window around the
+bounding box of the optimal basic solutions, and enumerating the coset of
+the relator lattice inside it finds all of them.  Letters commute, so the
+shortlex least geodesic is the sorted word of the optimum with the most of
+the least letter, then of the next, and so on.  All of it is integer
+arithmetic.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import isqrt, prod
 from typing import Sequence
 
 from .words import Alphabet, Word, reduce_ids
@@ -448,7 +453,8 @@ class AbelianOracle(BaseGroupOracle):
 
         Per set S of free_rank generators with independent free parts: S,
         the matrix M_S of their free parts and its determinant.  Then the
-        relator lattice in echelon form, and the proximity window N * Delta.
+        relator lattice in echelon form, and the proximity window N * Delta,
+        with Delta Hadamard's bound.
         """
         n, fr = len(self.alphabet.generators), self.free_rank
         vertices = []
@@ -457,12 +463,12 @@ class AbelianOracle(BaseGroupOracle):
             det = _det(m)
             if det:
                 vertices.append((gens, m, det))
+        # Hadamard's bound on every subdeterminant: the product of the norms
+        # of the largest columns, at most _dim of them, each norm at least 1
         columns = self.images + [tuple(mod * (r == fr + j) for r in range(self._dim))
                                  for j, mod in enumerate(self.moduli)]
-        delta = max((abs(_det([[col[r] for col in cols] for r in rows]))
-                     for k in range(1, self._dim + 1)
-                     for rows in combinations(range(self._dim), k)
-                     for cols in combinations(columns, k)), default=1)
+        squares = sorted((sum(x * x for x in col) for col in columns), reverse=True)
+        delta = max(1, isqrt(prod(q for q in squares[:self._dim] if q)))
         window = (2 * n + len(self.moduli)) * delta
         return vertices, _echelon(self._relator_vectors, n), window
 

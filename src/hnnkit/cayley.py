@@ -28,14 +28,14 @@ those of eid being (link_src[k], link_letter[k]) for k in
 range(link_start[eid], link_start[eid + 1]), in (source, letter) order.
 No distance is stored: it is the sphere whose id range holds the element
 (BallIndex.distance_of).  The BFS loop only assigns ids and appends codes
-and rows, so a sphere cut short leaves codes and rows to truncate.  Once a
-sphere is complete its links are built from the rows of the sphere before:
-each new element has one link for the row entry that found it and one for
-every repeat, an entry that found it again, so its link count is 1 plus its
-repeats, and one pass over the rows in (element, letter) order places the
-links, with the new tail of link_start as cursors.  The build makes no
-temporary the size of a sphere beyond the repeats, the counts and the zero
-bytes each link array grows by (bytes(n), read by frombytes).
+and rows.  Once a sphere is complete its links are built from the rows of
+the sphere before: each new element has one link for the row entry that
+found it and one for every repeat, an entry that found it again, so its
+link count is 1 plus its repeats, and one pass over the rows in (element,
+letter) order places the links, with the new tail of link_start as
+cursors.  The build makes no temporary the size of a sphere beyond the
+repeats, the counts and the zero bytes each link array grows by (bytes(n),
+read by frombytes).
 
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
@@ -52,8 +52,8 @@ S(d + 1) in with its ids); on the last sphere it is dropped too, before
 the links are built.  So the ball keeps no code -> id map while it grows.
 Lookups by key (id_of, `in`, and the boundary rows of ball_edges)
 read one index over all codes, built on the first lookup (one int object
-per code, as well as the dict) and kept current by every later extension;
-a ball never queried by key never holds one.
+per code, as well as the dict); a ball never queried by key never holds
+one.
 
 Element ids are assigned in BFS discovery order with letters tried in their
 fixed order, so two builds of the same ball are identical, as are all
@@ -71,12 +71,14 @@ and the elements of the next sphere get ids in the order of their first
 links.  shortlex_geodesic, export_ball and verify_parallel_signatures read
 least geodesics off first links.
 
-A ball is resumable: extend_ball grows it sphere by sphere from the last
-one, and ids are prefix-stable, so extending a radius-r0 ball to radius r
-gives exactly the radius-r build.  This module is the only place balls are
-grown and the only place the element cap is resolved (an explicit mem_cap,
-else the HNNKIT_MEM_CAP environment variable, else DEFAULT_MEM_CAP); the
-ball keeps its cap, so every later extension obeys it.
+build_ball runs the whole BFS in one call, and a ball is fixed once it
+returns: its arrays never change again, and only the lookup index and the
+geodesic-count table are built later, on first use.  Ids are prefix-stable:
+the radius-r0 ball is the first len(B(r0)) ids of any larger build.  This
+module is the only place balls are built and the only place the element cap
+is resolved (an explicit mem_cap, else the HNNKIT_MEM_CAP environment
+variable, else DEFAULT_MEM_CAP); a build past the cap raises BallCapError.
+A ball keeps its cap for the larger ball fftp_search builds from it.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class OutOfBallError(RuntimeError):
 
 
 class BallIndex:
-    """The radius-0 ball: just the identity.  Grow it with extend_ball.
+    """A Cayley ball; build_ball builds one, and the constructor alone the identity.
 
     codes[eid] is the element's code.  The inverse map, code -> id, is built
     by the first lookup by key, not by the BFS.  rows holds the rows of the
@@ -235,28 +237,15 @@ def build_ball(oracle, radius: int, mem_cap: Optional[int] = None,
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ball = BallIndex(oracle, mem_cap)
-    extend_ball(ball, radius, progress)
-    return ball
-
-
-def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
-    """Grow the ball to the given radius, resuming the BFS from its last sphere.
-
-    On BallCapError or any other error in a sphere, the partial sphere is
-    dropped, so the ball stays the complete ball of the radius it reached.
-    """
-    if radius <= ball.radius:
-        return
-    ball._counts = None
     row_of = ball.table.row
     mem_cap = ball.mem_cap
     codes = ball.codes
     add_code, index = codes.append, codes.index
     add_row = ball.rows.fromlist  # a list's append is faster than an array's
     # S(d - 1) and S(d), then S(d + 1) as it is found: see the module docstring
-    lo = len(codes) - sum(ball.sphere_sizes[-2:])
-    prev = dict(zip(codes[lo:], range(lo, len(codes))))
-    for d in range(ball.radius, radius):
+    lo = 0
+    prev = {codes[0]: 0}
+    for d in range(radius):
         frontier = ball.sphere(d)
         n_before = len(codes)  # sphere d + 1 is the ids from here on
         prev_get = prev.get
@@ -265,31 +254,26 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
         repeats = array("i")  # the ids in S(d + 1) found again, once per repeat
         add_repeat = repeats.append
         n_codes = n_before
-        try:
-            for eid in frontier:
-                row = []
-                first = n_codes
-                for code in row_of(codes[eid]):
-                    tid = prev_get(code)
+        for eid in frontier:
+            row = []
+            first = n_codes
+            for code in row_of(codes[eid]):
+                tid = prev_get(code)
+                if tid is None:
+                    tid = nxt_get(code)
                     if tid is None:
-                        tid = nxt_get(code)
-                        if tid is None:
-                            if n_codes >= mem_cap:
-                                raise BallCapError(mem_cap, d)
-                            nxt[code] = first
-                            add_code(code)
-                            tid = n_codes
-                            n_codes += 1
-                        else:
-                            # an element's new codes have consecutive ids
-                            tid = index(code, tid)
-                            add_repeat(tid)
-                    row.append(tid)
-                add_row(row)
-        except BaseException:  # the cap's error or any other: drop the partial sphere
-            del codes[n_before:]
-            del ball.rows[frontier.start * ball.n_letters:]
-            raise
+                        if n_codes >= mem_cap:
+                            raise BallCapError(mem_cap, d)
+                        nxt[code] = first
+                        add_code(code)
+                        tid = n_codes
+                        n_codes += 1
+                    else:
+                        # an element's new codes have consecutive ids
+                        tid = index(code, tid)
+                        add_repeat(tid)
+                row.append(tid)
+            add_row(row)
         nxt = nxt_get = None
         if d + 1 < radius:
             # on to S(d) and S(d + 1)
@@ -300,8 +284,6 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
         else:
             # free S(d - 1) and S(d) before the link build
             prev = prev_get = None
-        if ball._index is not None:
-            ball._index.update(zip(codes[n_before:], range(n_before, n_codes)))
         n_new = n_codes - n_before
         _append_links(ball, frontier, n_before, repeats)
         ball._starts.append(n_before)
@@ -315,6 +297,7 @@ def extend_ball(ball: BallIndex, radius: int, progress=None) -> None:
         ball._starts.append(len(codes))
         ball.sphere_sizes.append(0)
     ball.radius = radius
+    return ball
 
 
 def _append_links(ball: BallIndex, frontier: range, base: int, repeats: array) -> None:

@@ -655,8 +655,11 @@ def verify_parallel_signatures(ball: BallIndex, spec) -> SignatureReport:
     signature of the outer sphere S(r) is ever read, so none is stored, and
     only its elements with two or more links are visited: a single link has
     nothing to disagree with.  They are picked from link_start by iterators,
-    not slices, so the pass creates no object per outer element.
+    not slices, so the pass creates no object per outer element.  The ball
+    must be over the spec's alphabet, or ValueError is raised.
     """
+    if ball.oracle.alphabet != spec.alphabet:
+        raise ValueError("the ball must be over the spec's alphabet")
     nb = spec.n_base_letters
     n_letters = ball.oracle.alphabet.n_letters
     report = SignatureReport(ball.radius, len(ball))

@@ -1,10 +1,12 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_z2_abcd_ball
+from hnnkit import base_groups
 from hnnkit.base_groups import (
     abelian_from_presentation,
     base_geodesic_length,
@@ -23,6 +25,13 @@ def wise_base():
 def z_times_z2():
     """Z x Z/2 with a redundant generator: a of order 2, b, and c = ab."""
     return abelian_from_presentation(["a", "b", "c"], ["aa", "c'ab"])
+
+
+def z6_times_z():
+    """Z/6 x Z with a redundant generator: a of order 6, b, and c = ab^-1.  The
+    Hadamard bound puts its window's Delta at 8, above the largest
+    subdeterminant, 6."""
+    return abelian_from_presentation(["a", "b", "c"], ["aaaaaa", "c'ab'"])
 
 
 def test_wise_base_structure(wise_base):
@@ -153,6 +162,7 @@ def test_length_lookup_in_finite_group():
     pytest.param(lambda: preset("z2_abcd"), 12, id="z2_abcd"),
     pytest.param(lambda: preset("wise").base, 12, id="wise-base"),
     pytest.param(z_times_z2, 60, id="z-times-z2"),
+    pytest.param(z6_times_z, 30, id="z6-times-z"),
 ])
 def test_norm_and_geodesic_word_match_the_ball(group, radius):
     """The exact norm is the ball distance and geodesic_word the ball's label
@@ -209,3 +219,16 @@ def test_norm_matches_the_ball_on_random_presentations(g):
         key = ball.key(eid)
         assert g.geodesic_length_exact(key) == ball.distance_of(eid)
         assert format_word(g.geodesic_word(key)) == ball.label(eid)
+
+
+def test_window_costs_one_determinant_per_basic_solution_set(monkeypatch):
+    """Delta is Hadamard's bound, not a search of the subdeterminants: over Z^9
+    the only determinant is the one of the single set of 9 generators (the
+    search took 48,619)."""
+    z9 = abelian_from_presentation(list("abcdefghi"), [])
+    calls = []
+    det = base_groups._det
+    monkeypatch.setattr(base_groups, "_det", lambda m: calls.append(m) or det(m))
+    vertices, _, window = z9._metric_tables()
+    assert len(calls) <= comb(9, 9) == len(vertices) == 1
+    assert window == 18  # N = 18 variables, and Delta = 1

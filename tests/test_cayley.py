@@ -15,7 +15,6 @@ from hnnkit.cayley import (
     build_ball,
     distance,
     export_ball,
-    extend_ball,
     geodesics_of,
     is_geodesic,
 )
@@ -203,35 +202,24 @@ def _ball_state(ball):
             [ball.geodesic_count(e) for e in range(len(ball))])
 
 
-@pytest.mark.parametrize("name,r0,r", [
-    ("z2_abcd", 0, 9), ("z2_abcd", 3, 8), ("wise", 2, 5), ("g2", 1, 6), ("f2", 0, 6),
-])
-def test_extension_equals_fresh_build(name, r0, r, request):
-    group = request.getfixturevalue(name)
-    ball = build_ball(group, r0)
-    # fill the geodesic tables first: extending must invalidate them
-    ball.label(len(ball) - 1)
-    ball.geodesic_count(len(ball) - 1)
-    extend_ball(ball, r)
-    assert _ball_state(ball) == _ball_state(build_ball(group, r))
-
-
 def test_ball_key_table_is_independent_of_the_word_folds_bound(monkeypatch):
     monkeypatch.setattr(hnn, "_SEGMENT_TABLE_SIZE", 8)
     g2 = preset("g2")  # fresh, so its word fold runs under the small bound
     n = g2.alphabet.n_letters
     rng = random.Random(19)
     tables = [g2._segments]
-    ball = build_ball(g2, 2)
-    for r in range(3, 7):
-        # fold words between the spheres, so the spec replaces its table
+    balls = []
+    for r in range(2, 7):
+        # fold words between the builds, so the spec replaces its table
         for _ in range(10):
             g2.evaluate(Word(g2.alphabet, tuple(rng.randrange(n) for _ in range(30))))
             if g2._segments is not tables[-1]:
                 tables.append(g2._segments)
-        extend_ball(ball, r)
+        balls.append(build_ball(g2, r))
     assert len(tables) > 30
-    assert _ball_state(ball) == _ball_state(build_ball(g2, 6))
+    unfolded = preset("g2")  # a spec whose word fold never ran
+    for r, ball in enumerate(balls, 2):
+        assert _ball_state(ball) == _ball_state(build_ball(unfolded, r))
 
 
 def test_engines_build_balls_through_their_modules_names(g2, z2_abcd, monkeypatch):
@@ -262,30 +250,17 @@ def test_extension_of_exhausted_group():
     from hnnkit.base_groups import abelian_from_presentation
 
     z3 = abelian_from_presentation(["a"], ["aaa"])
-    ball = build_ball(z3, 1)
-    extend_ball(ball, 4)
+    ball = build_ball(z3, 4)
+    assert ball.radius == 4
     assert ball.sphere_sizes == [1, 2, 0, 0, 0]
-    assert _ball_state(ball) == _ball_state(build_ball(z3, 4))
+    assert [ball.sphere(n) for n in range(5)] == [range(0, 1), range(1, 3)] + [range(3, 3)] * 3
 
 
 def test_mem_cap(z2_abcd):
     with pytest.raises(BallCapError) as err:
         build_ball(z2_abcd, 9, mem_cap=50)
     assert err.value.cap_elements == 50
-    assert 0 <= err.value.radius_reached < 9
-
-
-def test_mem_cap_keeps_the_last_complete_sphere(z2_abcd):
-    ball = build_ball(z2_abcd, 0, mem_cap=50)
-    with pytest.raises(BallCapError) as err:
-        extend_ball(ball, 9)
-    reached = err.value.radius_reached
-    assert reached == 2  # 27 elements, and radius 3 has 55
-    # the partial sphere is dropped; the ball is the complete radius-reached one
-    assert _ball_state(ball) == _ball_state(build_ball(z2_abcd, reached))
-    # the cap is the ball's own, so retrying fails the same way
-    with pytest.raises(BallCapError):
-        extend_ball(ball, reached + 1)
+    assert err.value.radius_reached == 2  # 27 elements, and radius 3 has 55
 
 
 def test_mem_cap_below_one_is_rejected(z2_abcd, monkeypatch):
@@ -388,10 +363,6 @@ def test_rows_that_repeat_a_code_equal_tuple_key_bfs():
     assert [tuple(ball.row(eid)) or None for eid in range(len(ball))] == trans
     assert [links_of(ball, eid) for eid in range(len(ball))] == preds
     assert ball.sphere_sizes == sizes
-    # the same ball, grown from a smaller one
-    grown = build_ball(group, 2)
-    extend_ball(grown, radius)
-    assert _ball_state(grown) == _ball_state(ball)
 
 
 def test_ball_edges_intern_no_key_prefix(wise):
@@ -428,31 +399,11 @@ def test_word_keys_one_sphere_in_and_one_out(name, request):
         with pytest.raises(OutOfBallError):
             ball.id_of(key)
     assert 5 not in ball and () not in ball
-    extend_ball(ball, 4)
+    ball = build_ball(group, 4)
     found = [ball.id_of(key) for key in outside]
     assert ball.radius == 4
     assert [ball.key(eid) for eid in found] == outside
     assert all(ball.distance_of(eid) == 4 for eid in found)
-
-
-def test_any_error_mid_sphere_drops_the_partial_rows(wise):
-    ball = build_ball(wise, 2)
-    row, calls = ball.table.row, [0]
-
-    def interrupted(code):
-        calls[0] += 1
-        if calls[0] == 200:
-            raise KeyboardInterrupt
-        return row(code)
-
-    ball.table.row = interrupted
-    with pytest.raises(KeyboardInterrupt):
-        extend_ball(ball, 4)
-    assert ball.radius == 3 and len(ball.rows) == ball.sphere(3).start * ball.n_letters
-    # codes grow inside a sphere, so the partial sphere's are dropped too
-    assert len(ball.codes) == ball.sphere(ball.radius).stop
-    extend_ball(ball, 4)
-    assert _ball_state(ball) == _ball_state(build_ball(wise, 4))
 
 
 def test_running_out_of_key_prefixes_raises(monkeypatch):
@@ -508,23 +459,6 @@ def test_ball_interns_the_prefixes_of_its_expanded_elements(name, radius, prefix
     assert len(table.prefix_parent) == len(table.prefix_pair) == len(expanded) == prefixes
     assert {_prefix_parts(table, pid) for pid in range(prefixes)} == expanded
     assert all(ball.id_of(ball.key(eid)) == eid for eid in range(len(ball)))
-    extended = build_ball(group, radius - 3)
-    extend_ball(extended, radius)
-    assert len(extended.table.prefix_parent) == prefixes
-
-
-@pytest.mark.parametrize("name", ["wise", "g2"])
-def test_cap_rollback_then_extension_equals_fresh_build(name, request):
-    group = request.getfixturevalue(name)
-    ball = build_ball(group, 1, mem_cap=150)
-    with pytest.raises(BallCapError) as err:
-        extend_ball(ball, 5)
-    reached = err.value.radius_reached
-    assert len(ball.codes) == ball.sphere(ball.radius).stop
-    assert _ball_state(ball) == _ball_state(build_ball(group, reached))
-    ball.mem_cap = 10**6
-    extend_ball(ball, 4)
-    assert _ball_state(ball) == _ball_state(build_ball(group, 4))
 
 
 def test_radius_above_255(z2_ab):
@@ -547,33 +481,17 @@ def test_lookups_across_the_ball_lifecycle(name, request):
         assert all(ball.id_of(ball.key(eid)) == eid for eid in range(len(ball)))
         assert not any(key in ball for key in outer)
 
-    check(build_ball(group, 6))
-
-    queried = build_ball(group, 3)
-    assert queried.id_of(group.identity_key()) == 0
-    extend_ball(queried, 6)
-    check(queried)
-
-    fresh = build_ball(group, 3)
-    extend_ball(fresh, 6)
+    fresh = build_ball(group, 6)
     assert fresh._index is None  # never queried by key, so no index yet
     check(fresh)
+    assert fresh._index is not None
 
-    capped = build_ball(group, 2, mem_cap=ref.sphere(3).start + 1)
-    assert capped.id_of(group.identity_key()) == 0
-    with pytest.raises(BallCapError):
-        extend_ball(capped, 6)
-    partial = ref.key(ref.sphere(3).start)
-    assert partial not in capped
-    capped.mem_cap = 10**6
-    extend_ball(capped, 6)
-    check(capped)
-    assert capped.id_of(partial) == ref.sphere(3).start
+    with pytest.raises(BallCapError) as err:
+        build_ball(group, 6, mem_cap=ref.sphere(3).start + 1)
+    assert err.value.radius_reached == 2
 
-    # an extension to the key's own sphere finds it
-    extend_ball(capped, 7)
-    assert capped.id_of(outer[-1]) == ref.id_of(outer[-1])
-    assert capped.radius == 7
+    # a ball out to the keys' own sphere finds them
+    assert [ref.id_of(key) for key in outer] == list(ref.sphere(7)[::7])
 
 
 @pytest.mark.parametrize("name,radius,elements,bound", [

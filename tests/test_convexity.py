@@ -594,10 +594,21 @@ def test_parallel_signatures(wise, g2, g2_ball7):
     assert report2.passed
 
 
-class FakeSpec:
-    """A stand-in spec whose letters with ids >= n_base_letters count as stable."""
+@pytest.mark.parametrize("other", ["base", "g2"])
+def test_signatures_reject_a_ball_over_another_alphabet(wise, g2, other):
+    """The spec's base letters are read against the ball's letters, so a ball
+    of the base group, or of another extension, is refused."""
+    group = wise.base if other == "base" else g2
+    with pytest.raises(ValueError, match="alphabet"):
+        verify_parallel_signatures(build_ball(group, 3), wise)
 
-    def __init__(self, n_base_letters=0):
+
+class FakeSpec:
+    """A stand-in spec over the group's alphabet whose letters with ids >=
+    n_base_letters count as stable."""
+
+    def __init__(self, group, n_base_letters=0):
+        self.alphabet = group.alphabet
         self.n_base_letters = n_base_letters
 
 
@@ -605,13 +616,13 @@ def test_signature_violation_detected(z2_abcd):
     # sanity for the reporting path: a fake "spec" that treats every letter as
     # stable makes same-element geodesics disagree immediately
     ball = build_ball(z2_abcd, 3)
-    report = verify_parallel_signatures(ball, FakeSpec())
+    report = verify_parallel_signatures(ball, FakeSpec(z2_abcd))
     assert not report.passed
     assert report.violations[0]["word1"] != report.violations[0]["word2"]
 
 
 def test_signature_report_is_bounded(wise):
-    report = verify_parallel_signatures(build_ball(wise, 5), FakeSpec())
+    report = verify_parallel_signatures(build_ball(wise, 5), FakeSpec(wise))
     assert (report.violation_count, len(report.violations)) == (7972, MAX_WITNESSES)
     assert report.to_dict()["violation_count"] == 7972
     lines = report.table_lines()
@@ -653,7 +664,7 @@ def reference_signatures(ball, spec):
 def test_interned_signatures_match_the_tuple_dp(name, radius, n_base_letters, violations,
                                                 request):
     group = request.getfixturevalue(name)
-    spec = group if n_base_letters is None else FakeSpec(n_base_letters)
+    spec = group if n_base_letters is None else FakeSpec(group, n_base_letters)
     ball = build_ball(group, radius)
     report = verify_parallel_signatures(ball, spec)
     assert (report.violation_count, report.violations) == reference_signatures(ball, spec)
@@ -666,8 +677,9 @@ def test_signatures_of_a_ball_with_an_empty_outer_sphere():
     z2_cubed = abelian_from_presentation(["a", "b", "c"], ["aa", "bb", "cc"])
     ball = build_ball(z2_cubed, 4)
     assert ball.sphere_sizes == [1, 3, 3, 1, 0]
-    report = verify_parallel_signatures(ball, FakeSpec())
-    assert (report.violation_count, report.violations) == reference_signatures(ball, FakeSpec())
+    spec = FakeSpec(z2_cubed)
+    report = verify_parallel_signatures(ball, spec)
+    assert (report.violation_count, report.violations) == reference_signatures(ball, spec)
     assert report.violation_count == 7
 
 

@@ -40,16 +40,16 @@ read by frombytes).
 The BFS deduplicates per sphere, not against the whole ball.  A letter
 moves an element by distance 1, so |g| - 1 <= |g * x| <= |g| + 1 and every
 neighbour of S(d) lies in S(d - 1), S(d) or S(d + 1).  While S(d) is
-expanded, two dicts therefore decide every code exactly: one from the codes
-of S(d - 1) and S(d) to their ids, and one from the codes of S(d + 1) found
-so far to the first new id of the element that found them; a code in
-neither is new.  The second dict so holds one id object per expanded
-element, not one per element found.  An element's new codes get
-consecutive ids, so a repeat's id is found by scanning at most n_letters
-codes from that first id.  The second dict is dropped once its sphere is
-found, and each sphere moves the first dict on by one (S(d - 1) out,
-S(d + 1) in with its ids); on the last sphere it is dropped too, before
-the links are built.  So the ball keeps no code -> id map while it grows.
+expanded, two dicts therefore decide every code exactly, one over the codes
+of S(d - 1) and S(d) and one over the codes of S(d + 1) found so far; a
+code in neither is new.  Both follow one rule: a code maps to the first
+new id of the element that found it, so a dict holds one id object per
+expanded element, not one per element found.  An element's new codes get
+consecutive ids, so a code's id is found by scanning at most n_letters
+codes from that first id.  Once S(d + 1) is found, the first dict drops
+S(d - 1) and takes the second's entries as they are; on the last sphere
+both are dropped before the links are built.  So the ball keeps no
+code -> id map while it grows.
 Lookups by key (id_of, `in`, and the boundary rows of ball_edges)
 read one index over all codes, built on the first lookup (one int object
 per code, as well as the dict); a ball never queried by key never holds
@@ -242,14 +242,15 @@ def build_ball(oracle, radius: int, mem_cap: Optional[int] = None,
     codes = ball.codes
     add_code, index = codes.append, codes.index
     add_row = ball.rows.fromlist  # a list's append is faster than an array's
-    # S(d - 1) and S(d), then S(d + 1) as it is found: see the module docstring
+    # S(d - 1) and S(d), then S(d + 1) as it is found, each code -> the first
+    # new id of the element that found it: see the module docstring
     lo = 0
     prev = {codes[0]: 0}
     for d in range(radius):
         frontier = ball.sphere(d)
         n_before = len(codes)  # sphere d + 1 is the ids from here on
         prev_get = prev.get
-        nxt: dict = {}  # code -> the first new id of the element that found it
+        nxt: dict = {}
         nxt_get = nxt.get
         repeats = array("i")  # the ids in S(d + 1) found again, once per repeat
         add_repeat = repeats.append
@@ -258,45 +259,36 @@ def build_ball(oracle, radius: int, mem_cap: Optional[int] = None,
             row = []
             first = n_codes
             for code in row_of(codes[eid]):
-                tid = prev_get(code)
-                if tid is None:
-                    tid = nxt_get(code)
-                    if tid is None:
-                        if n_codes >= mem_cap:
-                            raise BallCapError(mem_cap, d)
-                        nxt[code] = first
-                        add_code(code)
-                        tid = n_codes
-                        n_codes += 1
-                    else:
-                        # an element's new codes have consecutive ids
-                        tid = index(code, tid)
-                        add_repeat(tid)
+                if (tid := prev_get(code)) is not None:
+                    tid = index(code, tid)  # an element's new codes have consecutive ids
+                elif (tid := nxt_get(code)) is not None:
+                    tid = index(code, tid)
+                    add_repeat(tid)
+                else:
+                    if n_codes >= mem_cap:
+                        raise BallCapError(mem_cap, d)
+                    nxt[code] = first
+                    add_code(code)
+                    tid = n_codes
+                    n_codes += 1
                 row.append(tid)
             add_row(row)
-        nxt = nxt_get = None
         if d + 1 < radius:
             # on to S(d) and S(d + 1)
             for code in codes[lo:frontier.start]:
                 del prev[code]
-            prev.update(zip(codes[n_before:], range(n_before, n_codes)))
+            prev.update(nxt)
             lo = frontier.start
         else:
             # free S(d - 1) and S(d) before the link build
             prev = prev_get = None
-        n_new = n_codes - n_before
+        nxt = nxt_get = None
         _append_links(ball, frontier, n_before, repeats)
         ball._starts.append(n_before)
-        ball.sphere_sizes.append(n_new)
+        ball.sphere_sizes.append(n_codes - n_before)
         ball.radius = d + 1
         if progress is not None:
-            progress(d + 1, len(codes))
-        if not n_new:
-            break
-    while len(ball.sphere_sizes) < radius + 1:
-        ball._starts.append(len(codes))
-        ball.sphere_sizes.append(0)
-    ball.radius = radius
+            progress(d + 1, n_codes)
     return ball
 
 

@@ -702,6 +702,8 @@ def verify_isometric(spec: HnnSpec, max_len: int,
     geodesic condition).  A cap hit while building the ball leaves those two
     conditions unknown (passed is None) and marks the report incomplete.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     from .cayley import BallCapError, _geodesics, build_ball
 
     base = spec.base
@@ -718,7 +720,7 @@ def verify_isometric(spec: HnnSpec, max_len: int,
             blocks += [tuple(l ^ 1 for l in reversed(b)) for b in blocks]
             subs.append((f"pair {i} {side}", sub, blocks))
     try:
-        ball = build_ball(base, max(max_len, 0), mem_cap=mem_cap)
+        ball = build_ball(base, max_len, mem_cap=mem_cap)
     except BallCapError:
         return IsometricReport(strip, ConditionReport(None), ConditionReport(None), max_len,
                                incomplete=True)

@@ -3,6 +3,7 @@ import pytest
 import hnnkit.cayley
 from hnnkit.cayley import build_ball
 from hnnkit.presets import preset
+from hnnkit.specfile import load_spec_text
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,20 @@ def z2_ab():
 @pytest.fixture(scope="session")
 def f2():
     return preset("f2")
+
+
+@pytest.fixture(scope="session")
+def bs12():
+    """BS(1,2) = <a, t | t^-1 a t = a^2>: an extension that is not isometric."""
+    return load_spec_text("""base {
+  kind = abelian
+  generators = a
+}
+stable t {
+  u = [a]
+  v = [aa]
+}
+""", name="bs12")
 
 
 @pytest.fixture

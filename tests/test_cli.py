@@ -205,6 +205,13 @@ def test_ac_rejects_negative_radius(capsys):
     assert "error: n_max must be >= 0" in err
 
 
+def test_verify_isometric_rejects_negative_max_len(capsys):
+    rc, out, err = run(capsys, "verify-isometric", "--preset", "wise", "--max-len", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "error: max_len must be >= 0, got -1" in err
+
+
 def test_ac_rejects_negative_fftp_k(capsys):
     # a usage error, not a violated bound (exit 1), and found before the
     # ball is built, so the memory cap is never reached

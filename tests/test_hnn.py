@@ -221,6 +221,29 @@ def test_relator_insertion_invariance(wise, g2):
             assert normal_form(spec, w) == normal_form(spec, w2)
 
 
+def test_wise_is_non_hopfian(wise):
+    """phi: a, b, c, d -> a^2, b^2, c^2, d^2 and s, t fixed is an endomorphism
+    of wise that is onto and kills k = [scs', tct'] != 1."""
+    p = lambda s: parse_word(wise.alphabet, s)
+    nf = lambda w: normal_form(wise, w)
+
+    def phi(w):
+        base = wise.n_base_letters
+        return Word(wise.alphabet, tuple(x for lid in w.ids
+                                         for x in ((lid, lid) if lid < base else (lid,))))
+
+    assert len(wise.relators) == 5
+    for rel in wise.relators:
+        assert nf(rel).is_identity() and nf(phi(rel)).is_identity()
+    # onto: s and t are fixed, and a, b, c, d have preimages
+    for x, pre in [("a", "scs'"), ("b", "tct'"), ("c", "scs'tct'"),
+                   ("d", "scs'tct'scs'tct'")]:
+        assert nf(phi(p(pre))) == nf(p(x))
+    k = p("scs'tct'sc's'tc't'")
+    assert not nf(k).is_identity()
+    assert nf(phi(k)).is_identity()
+
+
 def test_key_expands_back_to_the_same_element(wise, g2):
     rng = random.Random(21)
     for spec in (wise, g2):
@@ -319,7 +342,6 @@ def test_verify_isometric_broken_fixture_witnesses():
     assert not report.passed
 
 
-_BS12 = "base {\n  kind = abelian\n  generators = a\n}\nstable t {\n  u = [a]\n  v = [aa]\n}\n"
 # g2 with u = <ab, b> = F2, where |ab| = 2, paired with v = <aab, b>, where |aab| = 3
 _G2_SKEW = "base {\n  kind = free\n  generators = a b\n}\nstable s {\n  u = [ab, b]\n  v = [aab, b]\n}\n"
 
@@ -329,14 +351,17 @@ _G2_SKEW = "base {\n  kind = free\n  generators = a b\n}\nstable s {\n  u = [ab,
       for n in (4, 6, 8)),
     *(pytest.param(BROKEN, n, c, id=f"broken-{n}")
       for n, c in ((4, (0, 6, 26)), (6, (0, 10, 52)), (8, (0, 14, 86)))),
-    *(pytest.param(_BS12, n, (1, 0, 0), id=f"bs12-{n}") for n in (4, 6, 8)),
+    *(pytest.param("bs12", n, (1, 0, 0), id=f"bs12-{n}") for n in (4, 6, 8)),
     pytest.param(_G2_SKEW, 4, (1, 10, 152), id="g2-skew-4"),
     pytest.param(_G2_SKEW, 6, (1, 88, 1480), id="g2-skew-6"),
 ])
-def test_verify_isometric_pinned_witness_counts(source, max_len, counts):
+def test_verify_isometric_pinned_witness_counts(request, source, max_len, counts):
     """Witness counts of (strip, geodesic, totally geodesic) on the presets
     and on three extensions that fail some of the conditions."""
-    spec = preset(source) if source in ("wise", "g2") else load_spec_text(source)
+    if source in ("wise", "g2", "bs12"):
+        spec = request.getfixturevalue(source)
+    else:
+        spec = load_spec_text(source)
     report = verify_isometric(spec, max_len)
     conds = (report.strip_equidistant, report.geodesic, report.totally_geodesic)
     assert tuple(c.witness_count for c in conds) == counts
